@@ -1,14 +1,20 @@
-"""wLint throughput: static analysis vs dynamic wChecker (ISSUE 6).
+"""Verification throughput: wLint and the wChecker against a warm compile.
 
-The acceptance bar for the static verification layer: ``weaver lint``
-must be at least **10x** faster than the wChecker on the uf100 workload
-(the largest instance the checker verifies routinely).  Both sides are
-measured warm — caches populated by one untimed run — with the best of
-several repeats, on the same compiled artifact in the same process, so
-the pinned ratio is immune to host speed.
+Both verification layers run on every compiled artifact, so each is
+pinned as a ratio to a warm ``repro.compile`` of the same uf100 formula,
+all three measured in the same process as the best of several repeats,
+so the ratios are immune to host speed:
 
-The committed ``BENCH_lint.json`` records the absolute numbers from the
-PR that introduced the analyzer (regenerate with
+* ``weaver lint`` takes at most **0.5x** a warm compile (measured
+  0.23-0.29x on a 2-vCPU VM, a >=1.7x margin);
+* the wChecker's ``check_program`` takes at most **1.0x** a warm compile
+  (measured 0.22-0.41x, a >=2.4x margin; a checker that converts and
+  matches every pulse again reads 2.1-2.5x and fails).
+
+The two layers are not pinned against each other: the checker costs
+~1-1.5x lint, and what either costs is only meaningful next to the
+compile it verifies.  ``BENCH_lint.json`` records the absolute
+lint/checker numbers per run (regenerate with
 ``python -m repro.analysis.bench``).
 """
 
@@ -20,9 +26,9 @@ import repro
 from repro.analysis import analyze_result
 from repro.checker import check_program
 
-#: The acceptance bar.  Measured margin on the introduction host was
-#: ~12x warm (~20x against a cold checker); see BENCH_lint.json.
-MIN_SPEEDUP = 10.0
+#: The acceptance bars: lint / warm compile and check / warm compile.
+MAX_LINT_RATIO = 0.5
+MAX_CHECK_RATIO = 1.0
 
 REPEATS = 3
 
@@ -36,39 +42,50 @@ def _best_of(func, repeats: int = REPEATS) -> float:
     return best
 
 
-def test_lint_at_least_10x_faster_than_checker_on_uf100(capsys):
+def _best_ratio_to_compile(label: str, verify, bound: float, capsys) -> float:
+    """Best of three (``verify`` / warm compile) ratios on uf100-01."""
     formula = repro.satlib_instance("uf100-01")
     result = repro.compile(formula, target="fpqa")
-    program = result.program
-
-    # Warm both tiers: the analyzer's Raman/cluster memos and the
-    # checker's reconstruction caches all populate on the first pass.
-    clean = analyze_result(result)
-    assert clean.ok, clean.summary()
-    warm = check_program(program)
-    assert warm.ok
+    assert verify(result), f"{label} rejected the uf100 artifact"
 
     # A shared CI box can stall either side mid-measurement, so the gate
     # takes the best ratio over a few attempts rather than one sample.
-    best = 0.0
+    best = float("inf")
     for attempt in range(3):
-        lint_seconds = _best_of(lambda: analyze_result(result))
-        checker_seconds = _best_of(lambda: check_program(program))
-        speedup = checker_seconds / lint_seconds
-        best = max(best, speedup)
+        compile_seconds = _best_of(lambda: repro.compile(formula, target="fpqa"))
+        verify_seconds = _best_of(lambda: verify(result))
+        ratio = verify_seconds / compile_seconds
+        best = min(best, ratio)
         with capsys.disabled():
             print(
-                f"\n[lint-throughput] uf100 ({program.total_pulses} pulses) "
-                f"attempt {attempt + 1}: lint {lint_seconds * 1e3:.1f} ms, "
-                f"wChecker {checker_seconds * 1e3:.1f} ms, "
-                f"speedup {speedup:.1f}x"
+                f"\n[verify-throughput] uf100 ({result.num_pulses} pulses) "
+                f"attempt {attempt + 1}: {label} {verify_seconds * 1e3:.1f} ms, "
+                f"warm compile {compile_seconds * 1e3:.1f} ms, ratio {ratio:.2f}x"
             )
-        if best >= MIN_SPEEDUP:
+        if best <= bound:
             break
-    assert best >= MIN_SPEEDUP, (
-        f"wLint only {best:.1f}x faster than the wChecker on uf100 "
-        f"(best of 3 attempts; last lint {lint_seconds:.3f}s "
-        f"vs checker {checker_seconds:.3f}s)"
+    return best
+
+
+def test_lint_at_most_half_a_warm_compile_on_uf100(capsys):
+    best = _best_ratio_to_compile(
+        "wLint", lambda result: analyze_result(result).ok, MAX_LINT_RATIO, capsys
+    )
+    assert best <= MAX_LINT_RATIO, (
+        f"wLint takes {best:.2f}x a warm uf100 compile (bound {MAX_LINT_RATIO}x)"
+    )
+
+
+def test_checker_at_most_one_warm_compile_on_uf100(capsys):
+    best = _best_ratio_to_compile(
+        "wChecker",
+        lambda result: check_program(result.program).ok,
+        MAX_CHECK_RATIO,
+        capsys,
+    )
+    assert best <= MAX_CHECK_RATIO, (
+        f"the wChecker takes {best:.2f}x a warm uf100 compile "
+        f"(bound {MAX_CHECK_RATIO}x)"
     )
 
 

@@ -9,10 +9,8 @@ rotations their angles specify (§4.2: a local Raman pulse is a single U3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..circuits import Instruction, QuantumCircuit
-from ..circuits.gates import gate_matrix, make_gate, u3_from_matrix
+from ..circuits.gates import Gate, gate_matrix, make_gate, u3_from_matrix
 from ..exceptions import VerificationError
 from ..fpqa.device import FPQADevice
 from ..fpqa.hardware import FPQAHardwareParams
@@ -31,19 +29,23 @@ from ..fpqa.instructions import (
 from ..wqasm.program import WQasmProgram
 
 
-@dataclass
-class ConversionResult:
-    """Gates recovered from one instruction batch."""
-
-    gates: list[Instruction] = field(default_factory=list)
-
-
 class PulseToGateConverter:
     """Replays FPQA instructions and emits the logical gates they imply."""
 
     def __init__(self, num_qubits: int, hardware: FPQAHardwareParams | None = None):
         self.num_qubits = num_qubits
         self.device = FPQADevice(hardware)
+        # Raman (x, y, z) -> its u3.  Compiled programs draw thousands of
+        # pulses from a dozen angle triples, and the conversion is pure.
+        self._u3_by_angles: dict[tuple[float, float, float], Gate] = {}
+
+    def _raman_u3(self, pulse: RamanLocal | RamanGlobal) -> Gate:
+        angles = (pulse.x, pulse.y, pulse.z)
+        gate = self._u3_by_angles.get(angles)
+        if gate is None:
+            gate = u3_from_matrix(gate_matrix("raman", angles))
+            self._u3_by_angles[angles] = gate
+        return gate
 
     def convert(self, instruction: FPQAInstruction) -> list[Instruction]:
         """Apply one instruction; return the logical gates it produces.
@@ -57,16 +59,10 @@ class PulseToGateConverter:
                 raise VerificationError(
                     f"Raman pulse addresses qubit {instruction.qubit} outside the program"
                 )
-            matrix = gate_matrix(
-                "raman", (instruction.x, instruction.y, instruction.z)
-            )
-            return [Instruction(u3_from_matrix(matrix), (instruction.qubit,))]
+            return [Instruction(self._raman_u3(instruction), (instruction.qubit,))]
         if isinstance(instruction, RamanGlobal):
             self.device.apply(instruction)
-            matrix = gate_matrix(
-                "raman", (instruction.x, instruction.y, instruction.z)
-            )
-            gate = u3_from_matrix(matrix)
+            gate = self._raman_u3(instruction)
             return [
                 Instruction(gate, (qubit,)) for qubit in sorted(self.device.qubit_location)
             ]

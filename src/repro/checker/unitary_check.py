@@ -27,6 +27,21 @@ class EquivalenceMethod(enum.Enum):
     TOO_LARGE = "too-large"
 
 
+def equivalence_method(
+    num_qubits: int, max_probe_qubits: int = MAX_STATEVECTOR_QUBITS
+) -> EquivalenceMethod:
+    """The method :func:`equivalence_check` uses at ``num_qubits`` qubits.
+
+    It depends on the width alone, so a caller can learn it before
+    building any circuit, and build none when it is ``TOO_LARGE``.
+    """
+    if num_qubits <= MAX_UNITARY_QUBITS:
+        return EquivalenceMethod.UNITARY
+    if num_qubits <= min(max_probe_qubits, MAX_STATEVECTOR_QUBITS):
+        return EquivalenceMethod.STATEVECTOR_PROBE
+    return EquivalenceMethod.TOO_LARGE
+
+
 def equivalence_check(
     a: QuantumCircuit,
     b: QuantumCircuit,
@@ -46,20 +61,21 @@ def equivalence_check(
     if a.num_qubits != b.num_qubits:
         return (False, EquivalenceMethod.UNITARY)
     n = a.num_qubits
+    method = equivalence_method(n, max_probe_qubits)
+    if method is EquivalenceMethod.TOO_LARGE:
+        return (None, method)
     a = a.without_measurements()
     b = b.without_measurements()
-    if n <= MAX_UNITARY_QUBITS:
+    if method is EquivalenceMethod.UNITARY:
         same = allclose_up_to_global_phase(
             circuit_unitary(a), circuit_unitary(b), atol=atol
         )
-        return (bool(same), EquivalenceMethod.UNITARY)
-    if n <= min(max_probe_qubits, MAX_STATEVECTOR_QUBITS):
-        rng = as_generator(seed)
-        for _ in range(probes):
-            probe = random_statevector(n, rng)
-            out_a = circuit_statevector(a, probe)
-            out_b = circuit_statevector(b, probe)
-            if not allclose_up_to_global_phase(out_a, out_b, atol=max(atol, 1e-6)):
-                return (False, EquivalenceMethod.STATEVECTOR_PROBE)
-        return (True, EquivalenceMethod.STATEVECTOR_PROBE)
-    return (None, EquivalenceMethod.TOO_LARGE)
+        return (bool(same), method)
+    rng = as_generator(seed)
+    for _ in range(probes):
+        probe = random_statevector(n, rng)
+        out_a = circuit_statevector(a, probe)
+        out_b = circuit_statevector(b, probe)
+        if not allclose_up_to_global_phase(out_a, out_b, atol=max(atol, 1e-6)):
+            return (False, method)
+    return (True, method)

@@ -465,3 +465,29 @@ class TestLintCli:
         captured = capsys.readouterr()
         assert "clean" in captured.out
         assert "compiled" in captured.err
+
+
+class TestNoModuleState:
+    """The analyzer's memos live in one run, not in the module."""
+
+    def test_linting_new_angles_leaves_module_containers_unchanged(self, paper_formula):
+        from repro.analysis import program as program_pass
+        from repro.qaoa import QaoaParameters
+
+        def container_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(program_pass).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        before = container_sizes()
+        for gamma, beta in ((0.123, 0.456), (0.9, 0.15)):
+            result = repro.compile(
+                paper_formula,
+                target="fpqa",
+                parameters=QaoaParameters((gamma,), (beta,)),
+            )
+            report = analyze_result(result)
+            assert report.ok, report.summary()
+        assert container_sizes() == before

@@ -1,6 +1,7 @@
 """Tests for the wChecker (paper §6): verification and bug detection."""
 
 import copy
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.checker import EquivalenceMethod, WChecker, check_program
 from repro.checker.unitary_check import equivalence_check
 from repro.circuits import QuantumCircuit, circuits_equivalent
 from repro.fpqa.instructions import RamanLocal, RydbergPulse, ShuttleMove, Shuttle
-from repro.wqasm.program import AnnotatedOperation
+from repro.wqasm.program import AnnotatedOperation, WQasmProgram
 
 
 class TestHappyPath:
@@ -161,3 +162,72 @@ class TestEquivalenceCheck:
         verdict, method = equivalence_check(a, b)
         assert verdict is False
         assert method == EquivalenceMethod.STATEVECTOR_PROBE
+
+
+class TestAboveProbeLimit:
+    """Programs too wide for either equivalence method (uf20: 20 qubits)."""
+
+    def test_recurring_raman_fault_reports_exactly_its_operation(self, compiled_uf20):
+        program = compiled_uf20.program
+        sites = [
+            (op_index, instruction)
+            for op_index, operation in enumerate(program.operations)
+            for instruction in operation.instructions
+            if isinstance(instruction, RamanLocal)
+        ]
+        counts = Counter((i.x, i.y, i.z) for _, i in sites)
+        recurring = [angles for angles, count in counts.items() if count > 1]
+        assert len(recurring) >= 2
+        # Move one pulse onto another triple the program also uses: the
+        # memos then hold both triples, and only this operation pairs the
+        # second triple with the first one's recorded gate.
+        victim_op, victim = next(
+            (op_index, i) for op_index, i in sites if (i.x, i.y, i.z) == recurring[0]
+        )
+        tampered = _tamper_first(
+            program,
+            lambda i: i == victim,
+            lambda i: RamanLocal(i.qubit, *recurring[1]),
+        )
+        report = WChecker().check(tampered)
+        assert not report.ok
+        assert len(report.operation_failures) == 1
+        assert report.operation_failures[0].startswith(f"op {victim_op}: ")
+        assert "implements" in report.operation_failures[0]
+        assert report.reconstructed_method is EquivalenceMethod.TOO_LARGE
+
+    def test_wrong_width_reference_still_fails(self, compiled_uf20):
+        program = compiled_uf20.program
+        report = check_program(program, reference=QuantumCircuit(program.num_qubits + 1))
+        assert report.reference_equivalent is False
+        assert report.ok is False
+        assert report.operation_failures == [
+            "logical circuit differs from the reference circuit"
+        ]
+
+    def test_matching_reference_is_too_large(self, compiled_uf20):
+        report = check_program(
+            compiled_uf20.program, reference=compiled_uf20.native_circuit
+        )
+        assert report.ok
+        assert report.reconstructed_equivalent is None
+        assert report.reference_equivalent is None
+        assert report.reconstructed_method is EquivalenceMethod.TOO_LARGE
+        assert report.reference_method is EquivalenceMethod.TOO_LARGE
+
+    def test_logical_circuit_built_only_when_compared(
+        self, monkeypatch, compiled_uf20, compiled_paper_example
+    ):
+        calls = []
+        build = WQasmProgram.logical_circuit
+
+        def counting(program):
+            calls.append(program.name)
+            return build(program)
+
+        monkeypatch.setattr(WQasmProgram, "logical_circuit", counting)
+        check_program(compiled_uf20.program, reference=compiled_uf20.native_circuit)
+        assert calls == []
+        example = compiled_paper_example
+        check_program(example.program, reference=example.native_circuit)
+        assert calls == [example.program.name]

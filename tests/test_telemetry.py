@@ -625,3 +625,36 @@ class TestServiceTelemetry:
         job = asyncio.run(run())
         assert job.trace_id is None
         assert job.describe()["trace"] is None
+
+
+# ----------------------------------------------------------------------
+# wChecker spans
+# ----------------------------------------------------------------------
+def _covered_share(root: dict, children: list[dict]) -> float:
+    """Share of ``root``'s wall time covered by the union of ``children``."""
+    covered, reach = 0.0, root["start"]
+    for child in sorted(children, key=lambda c: c["start"]):
+        start, end = max(child["start"], reach), min(child["end"], root["end"])
+        if end > start:
+            covered += end - start
+            reach = end
+    return covered / (root["end"] - root["start"])
+
+
+class TestCheckerSpans:
+    @pytest.mark.parametrize("instance", ["uf20-01", "uf50-01"])
+    def test_replay_and_equivalence_cover_the_check(self, instance):
+        import repro
+        from repro.checker import check_program
+
+        result = repro.compile(repro.satlib_instance(instance), target="fpqa")
+        tracer = configure(True)
+        report = check_program(result.program, reference=result.native_circuit)
+        assert report.ok
+        spans = tracer.export()
+        (root,) = [s for s in spans if s["name"] == "checker.check"]
+        children = [s for s in spans if s["parent"] == root["span"]]
+        assert sorted(s["name"] for s in children) == [
+            "checker.equivalence", "checker.replay",
+        ]
+        assert _covered_share(root, children) >= 0.95
