@@ -19,9 +19,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+# tests/ holds the ``oracles`` the timing floors race against.  Appended,
+# so ``from conftest import ...`` here still finds this directory's file.
+TESTS = ROOT / "tests"
+if str(TESTS) not in sys.path:
+    sys.path.append(str(TESTS))
 
 from repro.evaluation import EvaluationConfig, ResultStore  # noqa: E402
 from repro.evaluation.runner import DEFAULT_BUDGETS  # noqa: E402

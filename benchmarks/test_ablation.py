@@ -10,7 +10,7 @@ from conftest import run_once
 from repro.evaluation import format_table, load_workload
 from repro.fpqa import FPQAHardwareParams, zone_layout
 from repro.metrics import program_duration_us, program_eps
-from repro.passes import WeaverFPQACompiler
+from repro.passes import FPQACompiler
 from repro.passes.clause_coloring import ClauseColoringPass
 from repro.passes.color_shuttling import plan_zone_moves
 
@@ -22,8 +22,8 @@ def test_ablation_gate_compression(benchmark):
         rows = []
         for name in ("uf20-01", "uf20-02", "uf20-03"):
             formula = load_workload(name)
-            on = WeaverFPQACompiler(compression=True).compile(formula)
-            off = WeaverFPQACompiler(compression=False).compile(formula)
+            on = FPQACompiler(compression=True).compile(formula)
+            off = FPQACompiler(compression=False).compile(formula)
             rows.append(
                 {
                     "workload": name,
@@ -52,8 +52,8 @@ def test_ablation_coloring_algorithm(benchmark):
         rows = []
         for name in ("uf20-01", "uf20-02", "uf20-03", "uf50-01"):
             formula = load_workload(name)
-            dsatur = WeaverFPQACompiler(coloring_algorithm="dsatur").compile(formula)
-            greedy = WeaverFPQACompiler(coloring_algorithm="greedy").compile(formula)
+            dsatur = FPQACompiler(coloring_algorithm="dsatur").compile(formula)
+            greedy = FPQACompiler(coloring_algorithm="greedy").compile(formula)
             rows.append(
                 {
                     "workload": name,

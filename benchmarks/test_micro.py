@@ -9,7 +9,7 @@ from repro.circuits import QuantumCircuit, circuit_unitary
 from repro.coloring import clause_conflict_graph, dsatur_coloring
 from repro.evaluation import load_workload
 from repro.fpqa import FPQAHardwareParams
-from repro.passes import WeaverFPQACompiler, plan_waves
+from repro.passes import FPQACompiler, plan_waves
 from repro.qaoa import qaoa_circuit
 from repro.qasm import circuit_to_qasm, qasm_to_circuit
 
@@ -40,7 +40,7 @@ def test_bench_wave_planning(benchmark):
 
 def test_bench_weaver_compile_uf20(benchmark):
     formula = load_workload("uf20-01")
-    compiler = WeaverFPQACompiler()
+    compiler = FPQACompiler()
     result = benchmark.pedantic(
         lambda: compiler.compile(formula), rounds=3, iterations=1
     )
@@ -76,8 +76,9 @@ def test_bench_closed_form_euler_beats_so3(benchmark):
     import time
 
     import numpy as np
+    from oracles.euler import zyx_euler_angles_so3
 
-    from repro.circuits.euler import zyx_euler_angles, zyx_euler_angles_so3
+    from repro.circuits.euler import zyx_euler_angles
 
     rng = np.random.default_rng(0)
     matrices = [
@@ -104,7 +105,7 @@ def test_bench_closed_form_euler_beats_so3(benchmark):
 
 
 def test_bench_incremental_clusters_beat_brute_force(benchmark):
-    """Cached + spatial-hash Rydberg resolution vs dense O(n^2) per pulse.
+    """Cached + spatial-hash Rydberg resolution vs the dense O(n^2) oracle per pulse.
 
     Models the real pulse pattern (two pulses per stance: the second
     resolution is always a cache hit) on a 400-atom array.  Measured
@@ -112,27 +113,24 @@ def test_bench_incremental_clusters_beat_brute_force(benchmark):
     """
     import time
 
+    from oracles.device import resolve_brute_force
+
     from repro.fpqa.device import FPQADevice
     from repro.fpqa.instructions import BindAtom, SlmInit
 
-    def loaded_device(**kwargs):
-        device = FPQADevice(**kwargs)
-        # 10x20 grid of atom *pairs* (400 atoms): partners sit 6 um apart
-        # (inside the 8 um radius, so every pair clusters) while pairs
-        # stay >8 um from each other — a valid dense pulse geometry.
-        positions = tuple(
-            (20.0 * col + dx, 10.0 * row)
-            for row in range(20)
-            for col in range(10)
-            for dx in (0.0, 6.0)
-        )
-        device.apply(SlmInit(positions))
-        for qubit in range(len(positions)):
-            device.apply(BindAtom(qubit=qubit, slm_index=qubit))
-        return device
-
-    fast = loaded_device()
-    slow = loaded_device(incremental_clusters=False)
+    fast = FPQADevice()
+    # 10x20 grid of atom *pairs* (400 atoms): partners sit 6 um apart
+    # (inside the 8 um radius, so every pair clusters) while pairs
+    # stay >8 um from each other — a valid dense pulse geometry.
+    positions = tuple(
+        (20.0 * col + dx, 10.0 * row)
+        for row in range(20)
+        for col in range(10)
+        for dx in (0.0, 6.0)
+    )
+    fast.apply(SlmInit(positions))
+    for qubit in range(len(positions)):
+        fast.apply(BindAtom(qubit=qubit, slm_index=qubit))
     rounds = 40
 
     def incremental():
@@ -148,10 +146,10 @@ def test_bench_incremental_clusters_beat_brute_force(benchmark):
     fast_seconds = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(rounds):
-        slow.resolve_rydberg_clusters()
-        slow.resolve_rydberg_clusters()
+        resolve_brute_force(fast)
+        resolve_brute_force(fast)
     slow_seconds = time.perf_counter() - start
-    assert fast._resolve_spatial_hash() == slow._resolve_brute_force()
+    assert fast._resolve_spatial_hash() == resolve_brute_force(fast)
     assert slow_seconds > 4.0 * fast_seconds, (
         f"cluster resolution regressed: {fast_seconds * 1e3:.1f} ms vs "
         f"brute force {slow_seconds * 1e3:.1f} ms"

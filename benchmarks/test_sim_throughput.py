@@ -12,13 +12,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from oracles.sim import NaiveStatevectorEngine
 
 import repro
-from repro.sim import (
-    NaiveStatevectorEngine,
-    StatevectorEngine,
-    schedule_from_program,
-)
+from repro.sim import StatevectorEngine, schedule_from_program
 
 SHOTS = 64
 

@@ -7,9 +7,8 @@ per-primitive counts, cache hit rates — at negligible overhead, so
 1. compile a mid-size random 3-SAT instance and print the profile table
    (the same table ``weaver compile --profile`` prints);
 2. read individual counters from ``result.profile`` (a JSON-safe dict);
-3. compare against the unoptimized reference pipeline
-   (``OptimizationFlags.reference()``) to see the fast paths' effect;
-4. append a benchmark run to a trajectory file with the bench runner.
+3. time a grid of sizes with the bench runner (the run record
+   ``python -m repro.perf.bench`` appends to ``BENCH_compile.json``).
 
 Run:  python examples/profiling.py
 """
@@ -20,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro
-from repro.perf import OptimizationFlags, format_profile_table, run_compile_bench
+from repro.perf import format_profile_table, run_compile_bench
 from repro.sat.generator import random_ksat
 
 
@@ -40,23 +39,12 @@ def main() -> None:
     print(f"\n{raman['count']} local Raman pulses, "
           f"{hit_rate:.1%} angle-cache hit rate")
 
-    # 3. The legacy pipeline is one option away — compare end to end.
-    reference = repro.compile(
-        formula,
-        target="fpqa",
-        target_options={"optimize": OptimizationFlags.reference()},
-    )
-    speedup = reference.compile_seconds / result.compile_seconds
-    print(f"\nReference pipeline: {reference.compile_seconds * 1e3:.1f} ms "
-          f"-> fast paths give {speedup:.1f}x on this formula")
-
-    # 4. The bench runner measures a grid of sizes and returns the run
+    # 3. The bench runner measures a grid of sizes and returns the run
     #    record it would append to BENCH_compile.json (see
     #    `python -m repro.perf.bench --help` for the file-writing CLI).
     run = run_compile_bench(sizes=(20, 40), repeats=1, verbose=False)
     for cell in run["cells"]:
-        print(f"  n={cell['num_vars']}: {cell['optimized_seconds']:.3f}s "
-              f"({cell['speedup']:.1f}x vs reference)")
+        print(f"  n={cell['num_vars']}: {cell['optimized_seconds']:.3f}s")
 
 
 if __name__ == "__main__":

@@ -68,9 +68,8 @@ Quickstart::
         [formula], targets=repro.available_targets(), parallel=4
     )
 
-The pre-registry entrypoints (:func:`compile_formula`,
-``WeaverFPQACompiler``, :func:`~repro.baselines.run_with_timeout`) still
-work but emit :class:`DeprecationWarning`.
+The pre-registry :func:`~repro.baselines.run_with_timeout` still works but
+emits :class:`DeprecationWarning`.
 """
 
 from .exceptions import (
@@ -114,12 +113,7 @@ from .qaoa import QaoaParameters, qaoa_circuit
 from .qasm import circuit_to_qasm, parse_qasm, qasm_to_circuit
 from .wqasm import WQasmProgram, parse_wqasm
 from .fpqa import FPQADevice, FPQAHardwareParams
-from .passes import (
-    FPQACompiler,
-    WeaverFPQACompiler,
-    compile_formula,
-    nativize_circuit,
-)
+from .passes import FPQACompiler, nativize_circuit
 from .checker import CheckReport, WChecker, check_program
 from .superconducting import SuperconductingTranspiler, washington_backend
 from .metrics import program_duration_us, program_eps
@@ -133,7 +127,7 @@ from .devices import (
     register_device,
 )
 from .exceptions import DeviceError, DeviceSpecError, UnknownDeviceError
-from .perf import OptimizationFlags, format_profile_table
+from .perf import format_profile_table
 from .targets import (
     CompilationResult,
     CompileRequest,
@@ -229,7 +223,6 @@ __all__ = [
     "Instruction",
     "LintRule",
     "NoiseModel",
-    "OptimizationFlags",
     "QaoaParameters",
     "QasmSemanticError",
     "QasmSyntaxError",
@@ -251,7 +244,6 @@ __all__ = [
     "WChecker",
     "WQasmProgram",
     "WeaverError",
-    "WeaverFPQACompiler",
     "Workload",
     "WorkloadError",
     "analyze_circuit",
@@ -265,7 +257,6 @@ __all__ = [
     "circuits_equivalent",
     "coerce_workload",
     "compile",
-    "compile_formula",
     "cost_model_for",
     "device_info",
     "format_profile_table",

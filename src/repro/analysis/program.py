@@ -44,8 +44,19 @@ _EXPECTED_CLUSTER_GATE = {2: "cz", 3: "ccz"}
 
 _PULSE_TYPES = frozenset((RamanLocal, RamanGlobal, RydbergPulse))
 
+#: The wChecker's gate-matching tolerances: ``WChecker(atol=1e-7)`` on the
+#: entries, and :func:`repro.linalg.global_phase_between`'s 1e-6 on the
+#: magnitude of the phase.
+_CHECKER_ATOL = 1e-7
+_CHECKER_PHASE_TOL = 1e-6
+
+
 def _raman_matches_gate(x: float, y: float, z: float, gate) -> bool:
-    """Whether Rz(z)Ry(y)Rx(x) equals ``gate``'s unitary up to global phase."""
+    """Whether Rz(z)Ry(y)Rx(x) equals ``gate``'s unitary up to global phase.
+
+    Uses the wChecker's tolerances: near gimbal lock the extracted angles
+    put |phase| ~1e-8 from 1, which the checker accepts, so lint must too.
+    """
     if gate.num_qubits != 1:
         return False
     pulse = gate_matrix("raman", (x, y, z))
@@ -59,8 +70,8 @@ def _raman_matches_gate(x: float, y: float, z: float, gate) -> bool:
     if abs(ref) <= 1e-12:
         return False
     phase = pulse.flat[anchor] / ref
-    return bool(abs(abs(phase) - 1.0) < 1e-9) and all(
-        abs(pulse.flat[i] - phase * recorded.flat[i]) < 1e-7 for i in range(4)
+    return bool(abs(abs(phase) - 1.0) <= _CHECKER_PHASE_TOL) and all(
+        abs(pulse.flat[i] - phase * recorded.flat[i]) < _CHECKER_ATOL for i in range(4)
     )
 
 

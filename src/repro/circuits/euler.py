@@ -4,22 +4,14 @@ An FPQA Raman pulse applies ``Rz(z) @ Ry(y) @ Rx(x)`` (paper Table 1), so
 any single-qubit gate compiles to *one* local pulse once we can extract the
 (x, y, z) angles.
 
-Two implementations are kept:
-
-* :func:`zyx_euler_angles` — the default hot path.  The SU(2) entries
-  directly give the quaternion components, from which the five SO(3)
-  entries the ZYX extraction needs follow in closed form — no 3x3 matrix
-  build, no ``np.trace`` matmuls.  This runs on every Raman pulse the
-  compiler emits.
-* :func:`zyx_euler_angles_so3` — the legacy reference: build the full
-  SO(3) image via ``R[i][j] = (1/2) tr(sigma_i U sigma_j U^dagger)`` and
-  read yaw-pitch-roll off it.  Kept for equivalence tests and as the
-  angle path of the unoptimized reference pipeline
-  (:meth:`repro.perf.OptimizationFlags.reference`).
-
-Both are numerically robust away from the gimbal-lock pitch and handle the
-poles explicitly; they agree to ~1e-15 (verified by tests) but are not
-bit-identical, so a pipeline must pick one and stick with it.
+:func:`zyx_euler_angles` reads the quaternion components straight off the
+SU(2) entries and evaluates, in closed form, only the five SO(3) entries
+the ZYX extraction needs — no 3x3 matrix build, no ``np.trace`` matmuls.
+It runs on every Raman pulse the compiler emits, is numerically robust
+away from the gimbal-lock pitch and handles the poles explicitly.  The
+explicit-SO(3) extraction it replaced is kept only as a test oracle
+(``tests/oracles/euler.py``); the two agree to ~1e-15 but are not
+bit-identical.
 """
 
 from __future__ import annotations
@@ -31,55 +23,8 @@ import numpy as np
 
 from ..exceptions import CircuitError
 
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-
 #: Pitch band treated as gimbal lock (|sin pitch| within this of 1).
 _GIMBAL_TOL = 1e-9
-
-
-def _to_su2(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (2, 2):
-        raise CircuitError(f"expected a 2x2 matrix, got shape {matrix.shape}")
-    det = np.linalg.det(matrix)
-    if abs(det) < 1e-12:
-        raise CircuitError("matrix is singular; not a unitary")
-    return matrix / cmath.sqrt(det)
-
-
-def su2_to_so3(matrix: np.ndarray) -> np.ndarray:
-    """The SO(3) rotation corresponding to an SU(2) element.
-
-    ``R[i][j] = (1/2) tr(sigma_i U sigma_j U^dagger)``.
-    """
-    u = _to_su2(matrix)
-    u_dag = u.conj().T
-    rotation = np.empty((3, 3))
-    for i, sigma_i in enumerate(_PAULIS):
-        for j, sigma_j in enumerate(_PAULIS):
-            rotation[i, j] = 0.5 * np.trace(sigma_i @ u @ sigma_j @ u_dag).real
-    return rotation
-
-
-def zyx_euler_angles_so3(matrix: np.ndarray) -> tuple[float, float, float]:
-    """Legacy angle extraction through the explicit SO(3) matrix."""
-    rotation = su2_to_so3(matrix)
-    # ZYX (yaw-pitch-roll) extraction from a rotation matrix.
-    sin_pitch = -rotation[2, 0]
-    sin_pitch = min(1.0, max(-1.0, sin_pitch))
-    pitch = math.asin(sin_pitch)
-    if abs(abs(sin_pitch) - 1.0) < _GIMBAL_TOL:
-        # Gimbal lock: roll and yaw are degenerate; put everything in yaw.
-        roll = 0.0
-        yaw = math.atan2(-rotation[0, 1], rotation[1, 1])
-    else:
-        roll = math.atan2(rotation[2, 1], rotation[2, 2])
-        yaw = math.atan2(rotation[1, 0], rotation[0, 0])
-    return (roll, pitch, yaw)
 
 
 def zyx_euler_angles(matrix: np.ndarray) -> tuple[float, float, float]:

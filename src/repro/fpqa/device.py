@@ -10,22 +10,18 @@ machine serves two roles:
   positions before each Rydberg pulse (§6, Figure 9).
 
 Hot-path notes: instruction dispatch is a ``type -> handler`` dict (not an
-isinstance chain), Rydberg cluster resolution uses the same spatial-hash
-neighbor query as the trap spacing check plus dirty tracking (consecutive
-pulses with no movement in between reuse the previous cluster set), and
-history recording is optional so the compiler-internal device does not
-accumulate an unbounded copy of the program it is emitting.  The dense
-O(n^2) resolver is kept as :meth:`_resolve_brute_force` — the reference
-implementation the equivalence tests and the unoptimized benchmark
-pipeline run against.
+isinstance chain), and Rydberg cluster resolution uses the same
+spatial-hash neighbor query as the trap spacing check plus dirty tracking
+(consecutive pulses with no movement in between reuse the previous cluster
+set).  The device keeps no instruction log: its callers already hold the
+program they replay or emit.  The dense O(n^2) resolver it
+replaced is kept only as a test oracle (``tests/oracles/device.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..exceptions import FPQAConstraintError
 from .geometry import position_key
@@ -60,31 +56,16 @@ class RydbergCluster:
 
 
 class FPQADevice:
-    """Mutable FPQA state: trap layers, atoms, and an instruction log.
+    """Mutable FPQA state: trap layers and atoms."""
 
-    ``record_history`` keeps the applied-instruction log (the default;
-    the code generator opts out because it already records the program
-    stream itself).  ``incremental_clusters`` selects the spatial-hash +
-    dirty-tracked Rydberg resolver; ``False`` falls back to the dense
-    brute-force reference on every pulse.
-    """
-
-    def __init__(
-        self,
-        hardware: FPQAHardwareParams | None = None,
-        record_history: bool = True,
-        incremental_clusters: bool = True,
-    ):
+    def __init__(self, hardware: FPQAHardwareParams | None = None):
         self.hardware = hardware or FPQAHardwareParams()
-        self.record_history = record_history
-        self.incremental_clusters = incremental_clusters
         self.slm_positions: list[tuple[float, float]] = []
         self.slm_atoms: list[int | None] = []
         self.aod_col_x: list[float] = []
         self.aod_row_y: list[float] = []
         self.aod_atoms: dict[tuple[int, int], int] = {}
         self.qubit_location: dict[int, Location] = {}
-        self.history: list[FPQAInstruction] = []
         #: position_key -> SLM trap index; the O(1) backing of
         #: :meth:`slm_index_at`, kept in lockstep with ``slm_positions``.
         self._slm_key_index: dict[tuple[float, float], int] = {}
@@ -169,10 +150,7 @@ class FPQADevice:
         handler = self._handlers.get(type(instruction))
         if handler is None:
             raise FPQAConstraintError(f"unknown instruction {instruction!r}")
-        result = handler(instruction)
-        if self.record_history:
-            self.history.append(instruction)
-        return result
+        return handler(instruction)
 
     def run(self, instructions: list[FPQAInstruction]) -> None:
         for instruction in instructions:
@@ -343,26 +321,20 @@ class FPQADevice:
         digital CZ/CCZ semantics to hold (§7); otherwise the pulse is
         rejected.  Singleton clusters are unaffected by the pulse.
 
-        With ``incremental_clusters`` the interaction graph is built from
-        a spatial hash (radius-sized cells, 3x3 neighborhood probes) and
-        the result is cached until the next atom movement: back-to-back
-        pulses in the same stance — every mid-fragment pulse pair in the
-        ladder/compressed schedules, and the wChecker's replay of them —
-        skip resolution entirely.
+        The interaction graph is built from a spatial hash (radius-sized
+        cells, 3x3 neighborhood probes) and the result is cached until the
+        next atom movement: back-to-back pulses in the same stance — every
+        mid-fragment pulse pair in the ladder/compressed schedules, and the
+        wChecker's replay of them — skip resolution entirely.
         """
-        if (
-            self.incremental_clusters
-            and self._cluster_cache_epoch == self._geometry_epoch
-        ):
+        if self._cluster_cache_epoch == self._geometry_epoch:
             self.cluster_cache_hits += 1
             return list(self._cluster_cache)
         self.cluster_resolutions += 1
-        if self.incremental_clusters:
-            clusters = self._resolve_spatial_hash()
-            self._cluster_cache = clusters
-            self._cluster_cache_epoch = self._geometry_epoch
-            return list(clusters)
-        return self._resolve_brute_force()
+        clusters = self._resolve_spatial_hash()
+        self._cluster_cache = clusters
+        self._cluster_cache_epoch = self._geometry_epoch
+        return list(clusters)
 
     def _resolve_spatial_hash(self) -> list[RydbergCluster]:
         """Connected components via radius-cell hashing (near-linear)."""
@@ -394,9 +366,9 @@ class FPQADevice:
                         continue
                     for j in neighbors:
                         ox, oy = positions[j]
-                        # Same arithmetic as the dense reference resolver
+                        # Same arithmetic as the dense oracle resolver
                         # (sqrt of the coordinate-square sum), so the two
-                        # paths agree bit-for-bit at the radius boundary.
+                        # agree bit-for-bit at the radius boundary.
                         if sqrt((x - ox) ** 2 + (y - oy) ** 2) <= radius:
                             ri, rj = find(i), find(j)
                             if ri != rj:
@@ -423,62 +395,6 @@ class FPQADevice:
                         (positions[a][0] - positions[b][0]) ** 2
                         + (positions[a][1] - positions[b][1]) ** 2
                     )
-                    for ai, a in enumerate(members)
-                    for b in members[ai + 1 :]
-                ]
-                if max(dists) - min(dists) > tol:
-                    raise FPQAConstraintError(
-                        f"Rydberg cluster {member_qubits} is not equidistant "
-                        f"(pairwise distances {min(dists):.2f}..{max(dists):.2f} um); "
-                        "the digital C^nZ semantics does not apply (§7)"
-                    )
-            clusters.append(RydbergCluster(member_qubits, member_positions))
-        clusters.sort(key=lambda c: c.qubits)
-        return clusters
-
-    def _resolve_brute_force(self) -> list[RydbergCluster]:
-        """Dense O(n^2) reference resolver (the original implementation).
-
-        Kept verbatim as the ground truth the randomized equivalence tests
-        compare :meth:`_resolve_spatial_hash` against, and as the cluster
-        path of the unoptimized benchmark pipeline.
-        """
-        qubits = sorted(self.qubit_location)
-        if not qubits:
-            return []
-        pos = np.array([self.qubit_position(q) for q in qubits])
-        deltas = pos[:, None, :] - pos[None, :, :]
-        distances = np.sqrt((deltas**2).sum(axis=2))
-        radius = self.hardware.rydberg_radius_um
-        n = len(qubits)
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        interacting = np.argwhere(
-            (distances <= radius) & (np.triu(np.ones((n, n), dtype=bool), k=1))
-        )
-        for i, j in interacting:
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[ri] = rj
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        clusters = []
-        tol = self.hardware.equidistance_tolerance_um
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            member_qubits = tuple(qubits[i] for i in members)
-            member_positions = tuple((float(pos[i][0]), float(pos[i][1])) for i in members)
-            if len(members) >= 3:
-                dists = [
-                    distances[a][b]
                     for ai, a in enumerate(members)
                     for b in members[ai + 1 :]
                 ]

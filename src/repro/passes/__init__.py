@@ -24,12 +24,7 @@ from .gate_compression import (
     GateCompressionPass,
     compression_beneficial,
 )
-from .woptimizer import (
-    FPQACompiler,
-    WeaverCompilationResult,
-    WeaverFPQACompiler,
-    compile_formula,
-)
+from .woptimizer import FPQACompiler, WeaverCompilationResult
 
 __all__ = [
     "ClauseColoringPass",
@@ -44,8 +39,6 @@ __all__ = [
     "GateCompressionPass",
     "PassManager",
     "ShuttleWave",
-    "WeaverFPQACompiler",
-    "compile_formula",
     "compression_beneficial",
     "nativize_circuit",
     "plan_waves",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
@@ -23,7 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from ..circuits import Instruction, QuantumCircuit
-from ..circuits.euler import zyx_euler_angles, zyx_euler_angles_so3
+from ..circuits.euler import zyx_euler_angles
 from ..circuits.gates import Gate, gate_matrix, make_gate, u3_from_matrix
 from ..exceptions import CompilationError
 from ..fpqa.device import FPQADevice
@@ -53,27 +52,17 @@ from .color_shuttling import (
     ZoneMovePlan,
     plan_zone_moves,
 )
-from ..perf import OptimizationFlags
 from . import gate_compression
 from .gate_compression import (
     FragmentSchedule,
     GateCompressionPass,
     cached_clause_matrices,
-    compressed_raman_matrices,
-    ladder_raman_matrices,
-    pair_raman_matrices,
     unit_raman_matrix,
 )
 
 Position = tuple[float, float]
 
 _H = gate_matrix("h")
-
-_UNCACHED_MATRIX_BUILDERS = {
-    "compressed": compressed_raman_matrices,
-    "ladder": ladder_raman_matrices,
-    "pair": pair_raman_matrices,
-}
 
 
 @lru_cache(maxsize=8)
@@ -140,7 +129,6 @@ class _CodeGenerator:
         context: CompilationContext,
         coloring: ColoringResult,
         schedule: FragmentSchedule,
-        flags: OptimizationFlags | None = None,
     ):
         self.context = context
         self.coloring = coloring
@@ -149,33 +137,21 @@ class _CodeGenerator:
         self.hardware = context.hardware
         self.formula = context.formula
         self.num_qubits = context.formula.num_vars
-        self.flags = flags or OptimizationFlags()
         self.profiler = context.profiler
-        self.device = FPQADevice(
-            context.hardware,
-            record_history=self.flags.record_history,
-            incremental_clusters=self.flags.incremental_clusters,
-        )
+        self.device = FPQADevice(context.hardware)
         self.operations: list[AnnotatedOperation] = []
         self.pending: list[FPQAInstruction] = []
         self.trap_index: dict[tuple[float, float], int] = {}
         self.column_of: dict[int, int] = {}
         self.park_xs: list[float] = []
-        self._angle_fn = (
-            zyx_euler_angles if self.flags.closed_form_euler else zyx_euler_angles_so3
-        )
         #: matrix bytes -> ((x, y, z), u3 gate); the same handful of
         #: matrices (H, rx(2*beta), per-clause pre/mid/post) recur dozens
         #: of times per layer, so angle extraction runs ~once per distinct
         #: matrix instead of once per pulse.
-        self._raman_cache: dict[bytes, tuple[tuple[float, float, float], Gate]] | None = (
-            {} if self.flags.memoize_angles else None
-        )
+        self._raman_cache: dict[bytes, tuple[tuple[float, float, float], Gate]] = {}
         #: (matrix bytes, qubit) -> (RamanLocal pulse, logical gate tuple);
         #: one level above the angle cache: the whole immutable operation.
-        self._local_op_cache: dict[tuple[bytes, int], tuple] | None = (
-            {} if self.flags.memoize_angles else None
-        )
+        self._local_op_cache: dict[tuple[bytes, int], tuple] = {}
         #: matrix bytes -> (RamanGlobal pulse, ready logical gate tuple).
         self._global_gates_cache: dict[bytes, tuple] = {}
 
@@ -204,17 +180,13 @@ class _CodeGenerator:
             self.pending.clear()
 
     def _raman_parts(
-        self, matrix: np.ndarray, key: bytes | None = None
+        self, matrix: np.ndarray, key: bytes
     ) -> tuple[tuple[float, float, float], Gate]:
-        """(Euler angles, logical u3 gate) for ``matrix``, memoized."""
+        """(Euler angles, logical u3 gate) for ``matrix``, memoized by ``key``."""
         cache = self._raman_cache
-        if cache is None:
-            return self._angle_fn(matrix), u3_from_matrix(matrix)
-        if key is None:
-            key = matrix.tobytes()
         parts = cache.get(key)
         if parts is None:
-            parts = (self._angle_fn(matrix), u3_from_matrix(matrix))
+            parts = (zyx_euler_angles(matrix), u3_from_matrix(matrix))
             cache[key] = parts
             self.profiler.miss("raman_angles")
         else:
@@ -223,50 +195,38 @@ class _CodeGenerator:
 
     def _emit_raman_local(self, qubit: int, matrix: np.ndarray) -> None:
         start = perf_counter()
-        if self._local_op_cache is None:
-            (x, y, z), gate = self._raman_parts(matrix)
-            instruction = RamanLocal(qubit, x, y, z)
-            gates = (Instruction(gate, (qubit,)),)
+        # Both the pulse and its logical annotation are pure values of
+        # (matrix, qubit); reuse whole immutable operation parts.
+        matrix_key = matrix.tobytes()
+        entry = self._local_op_cache.get((matrix_key, qubit))
+        if entry is None:
+            (x, y, z), gate = self._raman_parts(matrix, matrix_key)
+            entry = (RamanLocal(qubit, x, y, z), (Instruction(gate, (qubit,)),))
+            self._local_op_cache[(matrix_key, qubit)] = entry
         else:
-            # Both the pulse and its logical annotation are pure values of
-            # (matrix, qubit); reuse whole immutable operation parts.
-            matrix_key = matrix.tobytes()
-            entry = self._local_op_cache.get((matrix_key, qubit))
-            if entry is None:
-                (x, y, z), gate = self._raman_parts(matrix, key=matrix_key)
-                entry = (RamanLocal(qubit, x, y, z), (Instruction(gate, (qubit,)),))
-                self._local_op_cache[(matrix_key, qubit)] = entry
-            else:
-                self.profiler.hit("raman_angles")
-            instruction, gates = entry
+            self.profiler.hit("raman_angles")
+        instruction, gates = entry
         self.device.apply(instruction)
         self._finish_op(instruction, gates)
         self.profiler.add("raman_local", perf_counter() - start)
 
     def _emit_raman_global(self, matrix: np.ndarray) -> None:
         start = perf_counter()
-        if self._raman_cache is None:
-            (x, y, z), gate = self._raman_parts(matrix)
-            instruction = RamanGlobal(x, y, z)
-            gates = tuple(
-                Instruction(gate, (qubit,)) for qubit in range(self.num_qubits)
+        key = matrix.tobytes()
+        entry = self._global_gates_cache.get(key)
+        if entry is None:
+            (x, y, z), gate = self._raman_parts(matrix, key)
+            entry = (
+                RamanGlobal(x, y, z),
+                tuple(
+                    Instruction(gate, (qubit,))
+                    for qubit in range(self.num_qubits)
+                ),
             )
+            self._global_gates_cache[key] = entry
         else:
-            key = matrix.tobytes()
-            entry = self._global_gates_cache.get(key)
-            if entry is None:
-                (x, y, z), gate = self._raman_parts(matrix, key=key)
-                entry = (
-                    RamanGlobal(x, y, z),
-                    tuple(
-                        Instruction(gate, (qubit,))
-                        for qubit in range(self.num_qubits)
-                    ),
-                )
-                self._global_gates_cache[key] = entry
-            else:
-                self.profiler.hit("raman_angles")
-            instruction, gates = entry
+            self.profiler.hit("raman_angles")
+        instruction, gates = entry
         self.device.apply(instruction)
         self._finish_op(instruction, gates)
         self.profiler.add("raman_global", perf_counter() - start)
@@ -373,33 +333,23 @@ class _CodeGenerator:
         #: the parked map returns to a layer-start state already seen
         #: (always true from layer 2 on: every layer visits the zones in
         #: the same order), the remaining layers reuse the first plan.
-        cache: dict[tuple, tuple[list[ZoneMovePlan], dict[int, Position]]] | None = (
-            {} if self.flags.memoize_plans else None
-        )
+        cache: dict[tuple, tuple[list[ZoneMovePlan], dict[int, Position]]] = {}
         for _ in range(self.context.parameters.num_layers):
-            if cache is not None:
-                key = tuple(sorted(parked.items()))
-                hit = cache.get(key)
-                if hit is not None:
-                    self.profiler.hit("zone_plans")
-                    plans, parked = hit
-                    layers.append(plans)
-                    continue
-                self.profiler.miss("zone_plans")
-                plans, parked = plan_zone_moves(
-                    self.coloring,
-                    self.geometry,
-                    parked,
-                    self.hardware.min_trap_spacing_um,
-                )
-                cache[key] = (plans, parked)
-            else:
-                plans, parked = plan_zone_moves(
-                    self.coloring,
-                    self.geometry,
-                    parked,
-                    self.hardware.min_trap_spacing_um,
-                )
+            key = tuple(sorted(parked.items()))
+            hit = cache.get(key)
+            if hit is not None:
+                self.profiler.hit("zone_plans")
+                plans, parked = hit
+                layers.append(plans)
+                continue
+            self.profiler.miss("zone_plans")
+            plans, parked = plan_zone_moves(
+                self.coloring,
+                self.geometry,
+                parked,
+                self.hardware.min_trap_spacing_um,
+            )
+            cache[key] = (plans, parked)
             layers.append(plans)
         return layers
 
@@ -488,8 +438,6 @@ class _CodeGenerator:
         self, mode: str, placement: ClausePlacement, gamma: float
     ) -> dict[str, np.ndarray | None]:
         """Per-clause Raman matrix set, cached by (signs, weight*gamma)."""
-        if not self.flags.memoize_matrices:
-            return _UNCACHED_MATRIX_BUILDERS[mode](placement, gamma)
         before = gate_compression.clause_matrix_misses
         matrices = cached_clause_matrices(
             mode, placement.signs, gamma * placement.weight
@@ -719,16 +667,12 @@ class FPQACompiler:
         geometry: ZoneGeometry | None = None,
         coloring_algorithm: str = "dsatur",
         compression: bool | None = None,
-        optimize: bool | OptimizationFlags = True,
     ):
         self.hardware = hardware or FPQAHardwareParams()
         self._auto_geometry = geometry is None
         self.geometry = geometry or zone_layout(self.hardware)
         self.coloring_algorithm = coloring_algorithm
         self.compression = compression
-        #: Hot-path optimization switchboard; ``False`` replicates the
-        #: unoptimized legacy pipeline (see repro.perf.OptimizationFlags).
-        self.flags = OptimizationFlags.coerce(optimize)
 
     def compile(
         self,
@@ -759,7 +703,7 @@ class FPQACompiler:
         coloring: ColoringResult = context.require("coloring")
         schedule: FragmentSchedule = context.require("fragments")
         profiler = context.profiler
-        generator = _CodeGenerator(context, coloring, schedule, flags=self.flags)
+        generator = _CodeGenerator(context, coloring, schedule)
         codegen_start = time.perf_counter()
         program = generator.generate(measure=measure)
         profiler.add_pass("codegen", time.perf_counter() - codegen_start)
@@ -781,42 +725,3 @@ class FPQACompiler:
             compile_seconds=elapsed,
             profile=profile,
         )
-
-
-class WeaverFPQACompiler(FPQACompiler):
-    """Deprecated alias of :class:`FPQACompiler`.
-
-    Kept so pre-registry code keeps working; new code should go through
-    ``repro.compile(formula, target="fpqa")`` or
-    ``repro.get_target("fpqa")``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "WeaverFPQACompiler is deprecated; use "
-            "repro.compile(formula, target='fpqa') or repro.targets.FPQATarget",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
-def compile_formula(
-    formula: CnfFormula,
-    parameters: QaoaParameters | None = None,
-    hardware: FPQAHardwareParams | None = None,
-    compression: bool | None = None,
-    measure: bool = True,
-) -> WeaverCompilationResult:
-    """Deprecated wrapper kept for the pre-registry API.
-
-    Equivalent to ``repro.compile(formula, target="fpqa")`` except for the
-    richer legacy result type; new code should use the unified entrypoint.
-    """
-    warnings.warn(
-        "compile_formula is deprecated; use repro.compile(formula, target='fpqa')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    compiler = FPQACompiler(hardware=hardware, compression=compression)
-    return compiler.compile(formula, parameters, measure=measure)

@@ -1,7 +1,7 @@
 """Performance instrumentation for the compiler hot paths.
 
 Industrial compiler stacks (Quilc, OpenQL) treat per-pass profiling as a
-first-class subsystem; this package is Weaver's equivalent.  It has three
+first-class subsystem; this package is Weaver's equivalent.  It has two
 pieces:
 
 * :class:`Profiler` — cheap per-pass / per-primitive counters and timers
@@ -9,16 +9,12 @@ pieces:
   FPQA code generator.  Every compile carries one; the result surfaces it
   as ``CompilationResult.profile`` (a JSON-safe dict) and the CLI renders
   it via ``weaver compile --profile``.
-* :class:`OptimizationFlags` — the switchboard for the hot-path
-  optimizations (closed-form Euler angles, angle/matrix/plan memoization,
-  incremental Rydberg cluster resolution, history recording).
-  ``OptimizationFlags.reference()`` replicates the unoptimized legacy
-  pipeline so benchmarks can measure speedups against it on the same
-  machine and equivalence tests can diff emitted programs.
 * :mod:`repro.perf.bench` — the benchmark runner behind
   ``python -m repro.perf.bench``; it appends compile-time measurements
-  (sizes x targets x devices, optimized vs reference) to
-  ``BENCH_compile.json`` so the repo keeps a performance trajectory.
+  (sizes x targets x devices) to ``BENCH_compile.json`` so the repo keeps
+  a performance trajectory.  A speedup is read against the previous
+  committed run: the FPQA compile has one code path, and the slow
+  algorithms its fast paths replaced survive only as test oracles.
 
 The package is rebased on :mod:`repro.telemetry`: with tracing enabled,
 every :meth:`Profiler.add_pass` pass boundary also emits a trace span,
@@ -26,7 +22,6 @@ and :meth:`Profiler.merge_profile` folds worker-process profiles back
 into a parent registry (the service's fleet-wide ``stats``).
 """
 
-from .flags import OptimizationFlags
 from .profile import PROFILE_SCHEMA_VERSION, Profiler, format_profile_table
 
 
@@ -40,7 +35,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "OptimizationFlags",
     "PROFILE_SCHEMA_VERSION",
     "Profiler",
     "format_profile_table",

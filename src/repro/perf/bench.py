@@ -1,10 +1,10 @@
 """Compile-time benchmark runner: the repo's performance trajectory.
 
 Measures end-to-end ``repro.compile`` wall time over a grid of problem
-sizes x targets x devices, in both the optimized and the reference
-(legacy, unoptimized) pipelines, and appends one run record to
+sizes x targets x devices and appends one run record to
 ``BENCH_compile.json``.  Committing the file after meaningful perf work
-gives future sessions before/after numbers measured on a known machine.
+gives before/after numbers measured on a known machine: a change is read
+against the previous committed run.
 
 Usage::
 
@@ -18,14 +18,13 @@ File format (``schema`` 1)::
         {"timestamp": ..., "label": ..., "machine": {...},
          "cells": [{"target": "fpqa", "device": null, "num_vars": 150,
                     "num_clauses": 639, "seed": 7, "repeats": 3,
-                    "optimized_seconds": ..., "reference_seconds": ...,
-                    "speedup": ..., "num_pulses": ...}, ...]}]}
+                    "optimized_seconds": ..., "reference_seconds": null,
+                    "speedup": null, "num_pulses": ...}, ...]}]}
 
-``reference_seconds`` is measured with
-:meth:`~repro.perf.flags.OptimizationFlags.reference` — the pre-
-optimization pipeline — so ``speedup`` is an apples-to-apples
-same-machine before/after delta.  Non-FPQA targets have no reference
-pipeline; their cells carry ``null`` there.
+``reference_seconds`` and ``speedup`` are always ``null``.  Runs before
+the FPQA compile lost its unoptimized reference pipeline filled them in
+for FPQA cells; the fields stay so every run in a trajectory file shares
+one schema.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-
-from .flags import OptimizationFlags
 
 DEFAULT_SIZES = (50, 100, 150, 250)
 DEFAULT_OUTPUT = "BENCH_compile.json"
@@ -63,7 +60,6 @@ def run_compile_bench(
     devices: tuple[str | None, ...] = (None,),
     seed: int = 7,
     repeats: int = 2,
-    include_reference: bool = True,
     verbose: bool = False,
 ) -> dict:
     """Measure the grid and return one run record (no file I/O)."""
@@ -80,17 +76,6 @@ def run_compile_bench(
                     lambda: repro.compile(formula, target=target, device=device),
                     repeats,
                 )
-                reference = None
-                if include_reference and target in ("fpqa", "fpqa-nocompress"):
-                    options = {"optimize": OptimizationFlags.reference()}
-                    if device is not None:
-                        options["device"] = device
-                    reference = _time_compile(
-                        lambda: repro.compile(
-                            formula, target=target, target_options=options
-                        ),
-                        repeats,
-                    )
                 cell = {
                     "target": target,
                     "device": device,
@@ -99,21 +84,16 @@ def run_compile_bench(
                     "seed": seed,
                     "repeats": repeats,
                     "optimized_seconds": optimized,
-                    "reference_seconds": reference,
-                    "speedup": (reference / optimized) if reference else None,
+                    "reference_seconds": None,
+                    "speedup": None,
                     "num_pulses": result.num_pulses,
                 }
                 cells.append(cell)
                 if verbose:
-                    speedup = (
-                        f"{cell['speedup']:.2f}x vs reference"
-                        if cell["speedup"]
-                        else "no reference"
-                    )
                     print(
                         f"[bench] {target}"
                         + (f"@{device}" if device else "")
-                        + f" n={num_vars}: {optimized:.3f}s ({speedup})",
+                        + f" n={num_vars}: {optimized:.3f}s",
                         file=sys.stderr,
                     )
     return {
@@ -176,10 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument(
-        "--no-reference", action="store_true",
-        help="skip the slow legacy-pipeline baseline measurements",
-    )
     parser.add_argument("--label", default=None, help="tag for this run")
     parser.add_argument("-o", "--output", default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
@@ -193,7 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         devices=devices,
         seed=args.seed,
         repeats=args.repeats,
-        include_reference=not args.no_reference,
         verbose=True,
     )
     if args.label:

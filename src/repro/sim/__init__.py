@@ -24,7 +24,7 @@ plus the ``weaver simulate`` CLI command and the ``sim`` job kind of
 :mod:`repro.service`.
 """
 
-from .engine import NaiveStatevectorEngine, StatevectorEngine, bitstring
+from .engine import StatevectorEngine, bitstring
 from .executor import (
     DEFAULT_MAX_TRAJECTORIES,
     DEFAULT_SHOTS,
@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_SHOTS",
     "EXECUTION_SCHEMA_VERSION",
     "ExecutionResult",
-    "NaiveStatevectorEngine",
     "NoiseEvent",
     "NoiseModel",
     "Schedule",

@@ -1,4 +1,4 @@
-"""Dense statevector execution engines.
+"""Dense statevector execution engine.
 
 :class:`StatevectorEngine` is the production engine: the gate-application
 hot loop works on the state reshaped as a rank-``n`` tensor, so a
@@ -14,10 +14,9 @@ hot loop works on the state reshaped as a rank-``n`` tensor, so a
 * diagonal multi-qubit gates (``cz``/``ccz``/``mcz``/``rzz``/``cp``)
   multiply basis-state slices in place and never build a matrix.
 
-:class:`NaiveStatevectorEngine` is the deliberately slow reference —
-``expand_gate`` to the full ``2^n x 2^n`` operator, then matmul — kept
-for differential tests and the ``benchmarks/test_sim_throughput.py``
-speedup floor.
+The dense ``expand_gate``-then-matmul engine it replaced lives on only
+as a test oracle (``tests/oracles/sim.py``), for the differential tests
+and the ``benchmarks/test_sim_throughput.py`` speedup floor.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from ..exceptions import SimulationError
 from ..linalg import (
     MAX_STATEVECTOR_QUBITS,
     apply_gate_to_state,
-    expand_gate,
 )
 
 #: Multi-qubit gates whose matrix is diagonal in the computational basis;
@@ -254,42 +252,6 @@ class StatevectorEngine:
             return np.empty(0, dtype=np.int64)
         probs = self.probabilities(state)
         return rng.choice(self.dim, size=shots, p=probs).astype(np.int64)
-
-
-class NaiveStatevectorEngine:
-    """Reference engine: full ``2^n x 2^n`` operator per gate, then matmul.
-
-    Quadratically more memory traffic per gate than the vectorized
-    engine; exists as the differential-testing oracle and the benchmark
-    baseline (``benchmarks/test_sim_throughput.py`` pins the >= 5x gap).
-    """
-
-    name = "naive"
-
-    def __init__(self, num_qubits: int):
-        from ..linalg import MAX_UNITARY_QUBITS
-
-        if num_qubits > MAX_UNITARY_QUBITS:
-            raise SimulationError(
-                f"the naive engine builds dense operators; {num_qubits} "
-                f"qubits exceeds the {MAX_UNITARY_QUBITS}-qubit limit"
-            )
-        self.num_qubits = num_qubits
-        self.dim = 1 << num_qubits
-
-    def run(self, circuit, initial_state: np.ndarray | None = None) -> np.ndarray:
-        instructions = _instruction_list(circuit)
-        if initial_state is None:
-            state = np.zeros(self.dim, dtype=complex)
-            state[0] = 1.0
-        else:
-            state = np.array(initial_state, dtype=complex)
-        for inst in instructions:
-            if not inst.gate.is_unitary:
-                continue
-            operator = expand_gate(inst.gate.matrix(), inst.qubits, self.num_qubits)
-            state = operator @ state
-        return state
 
 
 def bitstring(basis: int, num_qubits: int) -> str:

@@ -69,7 +69,6 @@ class FPQATarget(Target):
         compression: bool | None = None,
         coloring_algorithm: str = "dsatur",
         device: str | DeviceProfile | None = None,
-        optimize=True,
         **unknown,
     ):
         _reject_unknown_options(self.name, unknown)
@@ -86,16 +85,6 @@ class FPQATarget(Target):
         self.device_name = self.profile.name if self.profile else None
         self.compression = compression
         self.coloring_algorithm = coloring_algorithm
-        # bool or repro.perf.OptimizationFlags; False runs the unoptimized
-        # reference pipeline (benchmarking / equivalence).  Validate here
-        # so a bad value is a user error at construction, not a crash
-        # mid-compile.
-        from ..perf import OptimizationFlags
-
-        try:
-            self.optimize = OptimizationFlags.coerce(optimize)
-        except TypeError as exc:
-            raise TargetError(f"target {self.name!r}: {exc}") from exc
 
     def run(
         self,
@@ -124,7 +113,6 @@ class FPQATarget(Target):
             hardware=self.hardware,
             compression=compression if compression is not None else self.compression,
             coloring_algorithm=coloring_algorithm,
-            optimize=self.optimize,
         )
         result = compiler.compile(formula, parameters or QaoaParameters(), measure=measure)
         if deadline is not None:

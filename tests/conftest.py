@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.passes import compile_formula  # noqa: E402
+from repro.passes import FPQACompiler  # noqa: E402
 from repro.sat import CnfFormula, satlib_instance  # noqa: E402
 
 
@@ -47,19 +47,19 @@ def uf20() -> CnfFormula:
 
 @pytest.fixture(scope="session")
 def compiled_paper_example(paper_formula):
-    return compile_formula(paper_formula, measure=False)
+    return FPQACompiler().compile(paper_formula, measure=False)
 
 
 @pytest.fixture(scope="session")
 def compiled_paper_example_ladder(paper_formula):
-    return compile_formula(paper_formula, compression=False, measure=False)
+    return FPQACompiler(compression=False).compile(paper_formula, measure=False)
 
 
 @pytest.fixture(scope="session")
 def compiled_mixed(mixed_formula):
-    return compile_formula(mixed_formula, measure=False)
+    return FPQACompiler().compile(mixed_formula, measure=False)
 
 
 @pytest.fixture(scope="session")
 def compiled_uf20(uf20):
-    return compile_formula(uf20, measure=True)
+    return FPQACompiler().compile(uf20, measure=True)

@@ -482,7 +482,9 @@ class TestNoModuleState:
             }
 
         before = container_sizes()
-        for gamma, beta in ((0.123, 0.456), (0.9, 0.15)):
+        # (0.789, 0.321) and (0.5, 0.2) put a Raman pitch ~1.5e-8 from
+        # -pi/2, near gimbal lock: lint must accept what the checker does.
+        for gamma, beta in ((0.123, 0.456), (0.9, 0.15), (0.789, 0.321), (0.5, 0.2)):
             result = repro.compile(
                 paper_formula,
                 target="fpqa",

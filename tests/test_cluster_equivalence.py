@@ -1,10 +1,10 @@
 """Rydberg cluster resolution: spatial hash vs brute force equivalence.
 
-The hot path resolves interaction clusters with a spatial hash plus
-dirty tracking; the original dense O(n^2) resolver is kept as
-``FPQADevice._resolve_brute_force``.  These randomized-geometry property
-tests pin the two to *identical* results — same clusters, same member
-order, same positions, and the same accept/reject verdict on the
+The device resolves interaction clusters with a spatial hash plus dirty
+tracking; the original dense O(n^2) resolver is kept as the oracle
+``oracles.device.resolve_brute_force``.  These randomized-geometry
+property tests pin the two to *identical* results — same clusters, same
+member order, same positions, and the same accept/reject verdict on the
 equidistance pre-condition (§7).
 """
 
@@ -14,6 +14,7 @@ import math
 import random
 
 import pytest
+from oracles.device import resolve_brute_force
 
 from repro.exceptions import FPQAConstraintError
 from repro.fpqa.device import FPQADevice
@@ -36,21 +37,23 @@ def _random_positions(
     return positions
 
 
-def _device_with(positions: list[tuple[float, float]], **kwargs) -> FPQADevice:
-    device = FPQADevice(**kwargs)
+def _device_with(
+    positions: list[tuple[float, float]], hardware: FPQAHardwareParams | None = None
+) -> FPQADevice:
+    device = FPQADevice(hardware)
     device.apply(SlmInit(tuple(positions)))
     for qubit in range(len(positions)):
         device.apply(BindAtom(qubit=qubit, slm_index=qubit))
     return device
 
 
-def _resolve_both(positions):
-    """(spatial outcome, brute outcome); outcomes are clusters or 'raise'."""
+def _resolve_both(positions, hardware=None):
+    """(device outcome, oracle outcome); outcomes are clusters or 'raise'."""
     outcomes = []
-    for resolver in ("_resolve_spatial_hash", "_resolve_brute_force"):
-        device = _device_with(positions)
+    for resolve in (FPQADevice.resolve_rydberg_clusters, resolve_brute_force):
+        device = _device_with(positions, hardware)
         try:
-            outcomes.append(getattr(device, resolver)())
+            outcomes.append(resolve(device))
         except FPQAConstraintError:
             outcomes.append("raise")
     return outcomes
@@ -100,12 +103,10 @@ class TestClusterEquivalence:
         # far beyond the 0.5 um tolerance -> both resolvers must reject.
         hardware = FPQAHardwareParams(rydberg_radius_um=12.0)
         positions = [(0.0, 0.0), (5.5, 0.0), (11.0, 0.0)]
-        for incremental in (True, False):
-            device = _device_with(
-                positions, hardware=hardware, incremental_clusters=incremental
-            )
+        for resolve in (FPQADevice.resolve_rydberg_clusters, resolve_brute_force):
+            device = _device_with(positions, hardware)
             with pytest.raises(FPQAConstraintError, match="not equidistant"):
-                device.resolve_rydberg_clusters()
+                resolve(device)
 
     def test_boundary_distance_is_inclusive_in_both(self):
         """Atoms exactly at the Rydberg radius interact in both paths."""
@@ -128,4 +129,4 @@ class TestClusterEquivalence:
         assert {c.qubits for c in second} == {(2, 3)}
         assert device.cluster_resolutions == 2
         # Every recomputation still matches the dense reference.
-        assert second == device._resolve_brute_force()
+        assert second == resolve_brute_force(device)

@@ -10,7 +10,7 @@ from repro.baselines.dpqa_format import circuit_to_dpqa_json, dpqa_json_to_pairs
 from repro.circuits import QuantumCircuit, circuits_equivalent
 from repro.circuits.random_circuits import random_circuit, random_diagonal_circuit
 from repro.exceptions import CompilationError, SatError
-from repro.passes import compile_formula, nativize_circuit
+from repro.passes import FPQACompiler, nativize_circuit
 from repro.qaoa import qaoa_circuit
 from repro.sat import CnfFormula, formula_polynomial
 from repro.sat.cnf import Clause
@@ -53,7 +53,7 @@ class TestWeightedMaxSat:
             ],
             name="weighted",
         )
-        result = compile_formula(formula, compression=compression, measure=False)
+        result = FPQACompiler(compression=compression).compile(formula, measure=False)
         assert circuits_equivalent(
             result.program.logical_circuit(), result.native_circuit
         )

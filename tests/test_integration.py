@@ -61,10 +61,10 @@ class TestVerification:
 
 class TestCompressionAblation:
     def test_compression_reduces_pulses_and_improves_eps(self, uf20):
-        from repro.passes import compile_formula
+        from repro.passes import FPQACompiler
 
-        on = compile_formula(uf20, compression=True, measure=True)
-        off = compile_formula(uf20, compression=False, measure=True)
+        on = FPQACompiler(compression=True).compile(uf20, measure=True)
+        off = FPQACompiler(compression=False).compile(uf20, measure=True)
         assert (
             on.program.pulse_counts()["rydberg"]
             < off.program.pulse_counts()["rydberg"]
@@ -72,12 +72,10 @@ class TestCompressionAblation:
         assert program_eps(on.program) > program_eps(off.program)
 
     def test_dsatur_no_worse_than_greedy_coloring(self, uf20):
-        from repro.passes import compile_formula
+        from repro.passes import FPQACompiler
 
-        dsatur = compile_formula(uf20, measure=False)
-        from repro.passes.woptimizer import WeaverFPQACompiler
-
-        greedy = WeaverFPQACompiler(coloring_algorithm="greedy").compile(
+        dsatur = FPQACompiler().compile(uf20, measure=False)
+        greedy = FPQACompiler(coloring_algorithm="greedy").compile(
             uf20, measure=False
         )
         assert (

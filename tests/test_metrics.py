@@ -15,7 +15,7 @@ from repro.metrics import (
     weaver_steps,
 )
 from repro.metrics.complexity import COMPLEXITY_TABLE, dpqa_steps
-from repro.passes import compile_formula
+from repro.passes import FPQACompiler
 
 
 class TestTiming:
@@ -23,8 +23,8 @@ class TestTiming:
         assert program_duration_us(compiled_paper_example.program) > 0
 
     def test_measurement_adds_readout(self, paper_formula):
-        measured = compile_formula(paper_formula, measure=True)
-        unmeasured = compile_formula(paper_formula, measure=False)
+        measured = FPQACompiler().compile(paper_formula, measure=True)
+        unmeasured = FPQACompiler().compile(paper_formula, measure=False)
         hw = FPQAHardwareParams()
         delta = program_duration_us(measured.program, hw) - program_duration_us(
             unmeasured.program, hw
@@ -62,7 +62,7 @@ class TestEps:
         assert 0 < eps < 1
 
     def test_better_ccz_improves_eps(self, paper_formula):
-        result = compile_formula(paper_formula, measure=True)
+        result = FPQACompiler().compile(paper_formula, measure=True)
         low = program_eps(
             result.program, FPQAHardwareParams().with_overrides(fidelity_ccz=0.98)
         )
@@ -83,8 +83,8 @@ class TestEps:
 
     def test_compression_beats_ladder_on_default_hardware(self, paper_formula):
         hw = FPQAHardwareParams()
-        compressed = compile_formula(paper_formula, measure=True)
-        ladder = compile_formula(paper_formula, compression=False, measure=True)
+        compressed = FPQACompiler().compile(paper_formula, measure=True)
+        ladder = FPQACompiler(compression=False).compile(paper_formula, measure=True)
         assert program_eps(compressed.program, hw) > program_eps(ladder.program, hw)
 
 

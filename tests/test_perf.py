@@ -4,35 +4,35 @@ Three concerns:
 
 * the instrumentation itself (Profiler counters, profile dict schema,
   JSON round trip, the ``--profile`` CLI table);
-* semantics preservation — the optimized pipeline must emit *exactly* the
-  program the uncached pipeline emits (byte-for-byte wQasm), and the
-  fully legacy pipeline (SO(3) Euler path) must stay equivalent under the
-  wChecker; and
-* the individual mechanisms: closed-form Euler extraction, history
-  opt-out, position-key SLM lookup, zone-plan memoization, and the bench
-  runner's trajectory file.
+* semantics preservation — the compiler emits, byte for byte, the wQasm
+  programs pinned below (recorded from the uncached pipeline before it was
+  deleted), its caches fire, and the wChecker accepts the result; and
+* the individual mechanisms: closed-form Euler extraction (against the
+  SO(3) oracle), position-key SLM lookup, cluster-cache invalidation, and
+  the bench runner's trajectory file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from oracles.euler import zyx_euler_angles_so3
 
 import repro
 from repro.checker import check_program
-from repro.circuits.euler import zyx_euler_angles, zyx_euler_angles_so3
+from repro.circuits.euler import zyx_euler_angles
 from repro.circuits.gates import gate_matrix
 from repro.cli import main
 from repro.exceptions import CircuitError
 from repro.fpqa.device import FPQADevice
 from repro.fpqa.geometry import position_key
-from repro.fpqa.instructions import BindAtom, RamanGlobal, SlmInit
+from repro.fpqa.instructions import BindAtom, SlmInit
 from repro.linalg import allclose_up_to_global_phase
 from repro.passes.woptimizer import FPQACompiler
 from repro.perf import (
-    OptimizationFlags,
     Profiler,
     format_profile_table,
     run_compile_bench,
@@ -85,34 +85,16 @@ class TestProfiler:
         assert "no profile" in format_profile_table({})
 
 
-class TestOptimizationFlags:
-    def test_coerce(self):
-        assert OptimizationFlags.coerce(True) == OptimizationFlags()
-        assert OptimizationFlags.coerce(None) == OptimizationFlags()
-        assert OptimizationFlags.coerce(False) == OptimizationFlags.reference()
-        flags = OptimizationFlags(memoize_angles=False)
-        assert OptimizationFlags.coerce(flags) is flags
-        with pytest.raises(TypeError):
-            OptimizationFlags.coerce("fast")
-
-    def test_reference_disables_everything(self):
-        ref = OptimizationFlags.reference()
-        assert not ref.closed_form_euler
-        assert not ref.memoize_angles
-        assert not ref.incremental_clusters
-        assert ref.record_history
-
-    def test_but_overrides(self):
-        flags = OptimizationFlags.reference().but(closed_form_euler=True)
-        assert flags.closed_form_euler and not flags.memoize_angles
-
+class TestTargetOptions:
     def test_bad_optimize_option_is_a_target_error(self, tiny_formula):
+        """The FPQA compile has one path; there is no switch to select another."""
         from repro.exceptions import TargetError
 
-        with pytest.raises(TargetError, match="optimize"):
-            repro.compile(
-                tiny_formula, target="fpqa", target_options={"optimize": "fast"}
-            )
+        for value in ("fast", False):
+            with pytest.raises(TargetError, match="optimize"):
+                repro.compile(
+                    tiny_formula, target="fpqa", target_options={"optimize": value}
+                )
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +144,19 @@ class TestCliProfile:
 # Semantics preservation
 # ----------------------------------------------------------------------
 class TestSemanticsPreserved:
-    """The optimizations must not change the emitted program."""
+    """The caches must not change the emitted program.
+
+    Each digest is the sha256 of ``program.to_wqasm()`` as emitted by the
+    uncached pipeline (every memo and the dense cluster resolver off,
+    closed-form Euler angles on) before that pipeline was deleted.
+    """
+
+    GOLDEN = {
+        "paper": "05f132be67a03a765cc425011dbcb8913d1e62d5f03849930e70218333d4f59e",
+        "mixed-ladder": "3ea15776f5af2c909ec5f365247f0be691365f877918b2b9eb2f5341d306c093",
+        "ksat24-p3": "e21b30d51d921642ca6d2572054f44a2b46cef729c002206b6a44a793dd85aa4",
+        "ksat150": "cfec2d5c82829a1f774d994f17bdd0f66c56c4feba950c7110d758c900f14b8a",
+    }
 
     @pytest.fixture(scope="class")
     def formula(self):
@@ -175,25 +169,30 @@ class TestSemanticsPreserved:
         # and layer 3 sees that state again (the first cache hit).
         return QaoaParameters((0.7, 0.4, 0.6), (0.35, 0.2, 0.1))
 
-    def test_memoized_pipeline_emits_identical_program(self, formula, parameters):
-        optimized = FPQACompiler(optimize=True).compile(formula, parameters)
-        uncached = FPQACompiler(
-            # Same angle math, every cache and fast path disabled.
-            optimize=OptimizationFlags.reference().but(closed_form_euler=True)
-        ).compile(formula, parameters)
-        assert optimized.program.to_wqasm() == uncached.program.to_wqasm()
-        assert optimized.profile["caches"]["raman_angles"]["hits"] > 0
-        assert optimized.profile["caches"]["zone_plans"]["hits"] == 1
-        assert optimized.profile["caches"]["rydberg_clusters"]["hits"] > 0
+    @pytest.fixture(scope="class")
+    def result(self, formula, parameters):
+        return FPQACompiler().compile(formula, parameters)
 
-    def test_optimized_program_passes_wchecker(self, formula, parameters):
-        result = FPQACompiler(optimize=True).compile(formula, parameters)
-        report = check_program(result.program, reference=result.native_circuit)
-        assert report.ok, report.operation_failures[:3]
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_emitted_program_matches_golden_digest(
+        self, case, paper_formula, mixed_formula, formula, parameters
+    ):
+        compiler, workload, layers = {
+            "paper": (FPQACompiler(), paper_formula, None),
+            "mixed-ladder": (FPQACompiler(compression=False), mixed_formula, None),
+            "ksat24-p3": (FPQACompiler(), formula, parameters),
+            "ksat150": (FPQACompiler(), random_ksat(150, 639, seed=7), None),
+        }[case]
+        text = compiler.compile(workload, layers).program.to_wqasm()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
 
-    def test_legacy_pipeline_still_equivalent(self, formula):
-        """Full reference mode (SO(3) angles) stays checker-clean too."""
-        result = FPQACompiler(optimize=False).compile(formula)
+    def test_caches_fire(self, result):
+        caches = result.profile["caches"]
+        assert caches["raman_angles"]["hits"] > 0
+        assert caches["zone_plans"]["hits"] == 1
+        assert caches["rydberg_clusters"]["hits"] > 0
+
+    def test_optimized_program_passes_wchecker(self, result):
         report = check_program(result.program, reference=result.native_circuit)
         assert report.ok, report.operation_failures[:3]
 
@@ -241,31 +240,13 @@ class TestClosedFormEuler:
 # Device fast paths
 # ----------------------------------------------------------------------
 class TestDeviceFastPaths:
-    def _loaded_device(self, **kwargs) -> FPQADevice:
-        device = FPQADevice(**kwargs)
+    def _loaded_device(self) -> FPQADevice:
+        device = FPQADevice()
         positions = tuple((10.0 * i, 0.0) for i in range(4))
         device.apply(SlmInit(positions))
         for qubit in range(4):
             device.apply(BindAtom(qubit=qubit, slm_index=qubit))
         return device
-
-    def test_history_recorded_by_default(self):
-        device = self._loaded_device()
-        device.apply(RamanGlobal(0.1, 0.2, 0.3))
-        assert len(device.history) == 6
-
-    def test_history_opt_out(self):
-        device = self._loaded_device(record_history=False)
-        device.apply(RamanGlobal(0.1, 0.2, 0.3))
-        assert device.history == []
-
-    def test_codegen_device_does_not_accumulate_history(self):
-        # The program stream itself is the record; the compiler-internal
-        # device must not keep a second unbounded copy (default flags opt
-        # out), while the checker's replay devices keep the default on.
-        assert OptimizationFlags().record_history is False
-        assert FPQACompiler().flags.record_history is False
-        assert FPQADevice().record_history is True
 
     def test_slm_index_at_matches_position_key(self):
         device = self._loaded_device()
@@ -293,14 +274,12 @@ class TestDeviceFastPaths:
 # ----------------------------------------------------------------------
 class TestBenchRunner:
     def test_writes_and_appends_trajectory(self, tmp_path):
-        run = run_compile_bench(
-            sizes=(8,), repeats=1, include_reference=True, seed=3
-        )
+        run = run_compile_bench(sizes=(8,), repeats=1, seed=3)
         (cell,) = run["cells"]
         assert cell["target"] == "fpqa"
         assert cell["optimized_seconds"] > 0
-        assert cell["reference_seconds"] > 0
-        assert cell["speedup"] == cell["reference_seconds"] / cell["optimized_seconds"]
+        assert cell["reference_seconds"] is None
+        assert cell["speedup"] is None
         path = tmp_path / "BENCH_compile.json"
         write_bench_file(run, path)
         write_bench_file(run, path)
@@ -330,8 +309,7 @@ class TestBenchRunner:
 
         path = tmp_path / "bench.json"
         rc = bench_main(
-            ["--sizes", "8", "--repeats", "1", "--no-reference",
-             "--label", "test", "-o", str(path)]
+            ["--sizes", "8", "--repeats", "1", "--label", "test", "-o", str(path)]
         )
         assert rc == 0
         payload = json.loads(path.read_text())

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, circuits_equivalent
 from repro.circuits.random_circuits import random_circuit
-from repro.passes import compile_formula, nativize_circuit, plan_waves
+from repro.passes import FPQACompiler, nativize_circuit, plan_waves
 from repro.qasm import circuit_to_qasm, qasm_to_circuit
 from repro.sat import random_ksat
 from repro.superconducting import SabreRouter, grid_coupling
@@ -87,7 +87,7 @@ def test_weaver_random_formula_fuzz(seed):
     num_clauses = int(rng.integers(3, 12))
     k = int(rng.integers(1, 4))
     formula = random_ksat(num_vars, num_clauses, k=min(k, num_vars), seed=seed)
-    result = compile_formula(formula, measure=False)
+    result = FPQACompiler().compile(formula, measure=False)
     assert circuits_equivalent(
         result.program.logical_circuit(), result.native_circuit
     )
@@ -99,6 +99,6 @@ def test_checker_verifies_random_compilations(seed):
     from repro.checker import check_program
 
     formula = random_ksat(6, 8, seed=100 + seed)
-    result = compile_formula(formula, measure=False)
+    result = FPQACompiler().compile(formula, measure=False)
     report = check_program(result.program, reference=result.native_circuit)
     assert report.ok, report.operation_failures[:3]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.sim import NaiveStatevectorEngine
 
 import repro
 from repro import CnfFormula
@@ -13,7 +14,6 @@ from repro.exceptions import SimulationError, TargetError
 from repro.metrics import program_eps
 from repro.sim import (
     ExecutionResult,
-    NaiveStatevectorEngine,
     NoiseEvent,
     NoiseModel,
     Schedule,
@@ -51,10 +51,10 @@ class TestEngines:
         assert np.allclose(fast, reference, atol=1e-9)
 
     def test_naive_engine_matches_too(self):
-        circuit = random_circuit(4, 25, seed=9)
+        circuit = random_circuit(4, 25, seed=9, max_arity=3)
         assert np.allclose(
+            StatevectorEngine(4).run(circuit),
             NaiveStatevectorEngine(4).run(circuit),
-            circuit_statevector(circuit),
             atol=1e-9,
         )
 

@@ -138,18 +138,18 @@ class TestCompileAllTargets:
 
 
 class TestLegacyParity:
-    """repro.compile must reproduce the legacy entrypoints exactly."""
+    """repro.compile must reproduce the underlying compilers exactly."""
 
-    def test_fpqa_matches_compile_formula(self, uf20):
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.compile_formula(uf20)
+    def test_fpqa_matches_fpqa_compiler(self, uf20):
+        direct = repro.FPQACompiler().compile(uf20)
         unified = repro.compile(uf20, target="fpqa")
-        assert unified.program.total_pulses == legacy.program.total_pulses
-        assert unified.program.pulse_counts() == legacy.program.pulse_counts()
-        assert unified.num_pulses == legacy.program.total_pulses
+        assert unified.program.to_wqasm() == direct.program.to_wqasm()
+        assert unified.program.total_pulses == direct.program.total_pulses
+        assert unified.program.pulse_counts() == direct.program.pulse_counts()
+        assert unified.num_pulses == direct.program.total_pulses
         assert (
             unified.stats["clause-coloring"]["num_colors"]
-            == legacy.stats["clause-coloring"]["num_colors"]
+            == direct.stats["clause-coloring"]["num_colors"]
         )
 
     def test_superconducting_matches_legacy_compiler(self, uf20):
@@ -162,23 +162,12 @@ class TestLegacyParity:
         assert unified.stats["num_swaps"] == legacy.extra["num_swaps"]
 
     def test_nocompress_matches_compression_off(self, tiny_formula):
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.compile_formula(tiny_formula, compression=False)
+        direct = repro.FPQACompiler(compression=False).compile(tiny_formula)
         unified = repro.compile(tiny_formula, target="fpqa-nocompress")
-        assert unified.program.pulse_counts() == legacy.program.pulse_counts()
+        assert unified.program.pulse_counts() == direct.program.pulse_counts()
 
 
 class TestDeprecationShims:
-    def test_compile_formula_warns(self, tiny_formula):
-        with pytest.warns(DeprecationWarning, match="compile_formula"):
-            result = repro.compile_formula(tiny_formula)
-        assert result.program is not None
-
-    def test_weaver_fpqa_compiler_warns(self):
-        with pytest.warns(DeprecationWarning, match="WeaverFPQACompiler"):
-            compiler = repro.WeaverFPQACompiler()
-        assert compiler.hardware is not None
-
     def test_run_with_timeout_warns(self, tiny_formula):
         from repro.baselines import AtomiqueCompiler, run_with_timeout
 

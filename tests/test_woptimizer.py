@@ -10,7 +10,7 @@ import pytest
 
 from repro.circuits import circuits_equivalent
 from repro.fpqa import FPQAHardwareParams
-from repro.passes import WeaverFPQACompiler, compile_formula
+from repro.passes import FPQACompiler
 from repro.qaoa import QaoaParameters, qaoa_circuit
 from repro.sat import CnfFormula, random_ksat
 
@@ -34,21 +34,21 @@ class TestEquivalence:
         )
 
     def test_mixed_arity_ladder(self, mixed_formula):
-        result = compile_formula(mixed_formula, compression=False, measure=False)
+        result = FPQACompiler(compression=False).compile(mixed_formula, measure=False)
         assert circuits_equivalent(
             result.program.logical_circuit(), result.native_circuit
         )
 
     def test_two_qaoa_layers(self, tiny_formula):
         params = QaoaParameters(gammas=(0.5, 0.8), betas=(0.3, 0.1))
-        result = compile_formula(tiny_formula, parameters=params, measure=False)
+        result = FPQACompiler().compile(tiny_formula, params, measure=False)
         reference = qaoa_circuit(tiny_formula, params, measure=False)
         assert circuits_equivalent(result.program.logical_circuit(), reference)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_formulas_compressed(self, seed):
         formula = random_ksat(7, 9, seed=seed)
-        result = compile_formula(formula, measure=False)
+        result = FPQACompiler().compile(formula, measure=False)
         assert circuits_equivalent(
             result.program.logical_circuit(), result.native_circuit
         )
@@ -56,21 +56,21 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", [10, 11])
     def test_random_formulas_ladder(self, seed):
         formula = random_ksat(6, 7, seed=seed)
-        result = compile_formula(formula, compression=False, measure=False)
+        result = FPQACompiler(compression=False).compile(formula, measure=False)
         assert circuits_equivalent(
             result.program.logical_circuit(), result.native_circuit
         )
 
     def test_single_clause_formula(self):
         formula = CnfFormula.from_lists([[1, -2, 3]], num_vars=3)
-        result = compile_formula(formula, measure=False)
+        result = FPQACompiler().compile(formula, measure=False)
         assert circuits_equivalent(
             result.program.logical_circuit(), result.native_circuit
         )
 
     def test_unit_clause_only(self):
         formula = CnfFormula.from_lists([[2]], num_vars=2)
-        result = compile_formula(formula, measure=False)
+        result = FPQACompiler().compile(formula, measure=False)
         assert circuits_equivalent(
             result.program.logical_circuit(), result.native_circuit
         )
@@ -99,7 +99,7 @@ class TestProgramStructure:
         assert rydberg == 4 * num_colors  # 2 CCZ + 2 CZ stages per zone
 
     def test_measured_flag(self, uf20):
-        result = compile_formula(uf20, measure=True)
+        result = FPQACompiler().compile(uf20, measure=True)
         assert result.program.measured
 
     def test_stats_complete(self, compiled_paper_example):
@@ -118,7 +118,7 @@ class TestProgramStructure:
 
     def test_custom_hardware_threads_through(self, tiny_formula):
         hardware = FPQAHardwareParams().with_overrides(fidelity_ccz=0.9)
-        compiler = WeaverFPQACompiler(hardware=hardware)
+        compiler = FPQACompiler(hardware=hardware)
         result = compiler.compile(tiny_formula, measure=False)
         # CCZ at 0.9 makes compression unprofitable; the pass must notice.
         assert not result.stats["gate-compression"]["use_compression"]
