@@ -30,9 +30,10 @@ def main() -> int:
         help="Geyser/DPQA compile budget in seconds (default 60)",
     )
     parser.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="persist results to this JSON file and resume from it if it "
-             "exists (interrupted sweeps recompile only missing cells)",
+        "--store", metavar="DIR", default=None,
+        help="store directory: persist every compiled cell there and reuse "
+             "the cells already there (interrupted sweeps recompile only "
+             "missing cells); the format of `weaver serve --store-dir`",
     )
     parser.add_argument(
         "--devices", metavar="NAMES", default=None,
@@ -69,22 +70,19 @@ def main() -> int:
                 )
                 return 2
     if args.quick:
-        config = EvaluationConfig(
-            compilers=("superconducting", "atomique", "weaver", "dpqa", "geyser"),
-            fixed_instances=tuple(f"uf20-{i:02d}" for i in range(1, 4)),
-            scaling_sizes=(20, 50, 75),
-            instances_per_size=1,
-            budgets=budgets,
-            devices=devices,
-        )
+        config = EvaluationConfig.quick(budgets=budgets, devices=devices)
     else:
         config = EvaluationConfig(budgets=budgets, devices=devices)
-    run_artifact(
-        config,
-        include_ccz_sweep=not args.no_ccz_sweep,
-        verbose=True,
-        store_path=args.store,
-    )
+    try:
+        run_artifact(
+            config,
+            include_ccz_sweep=not args.no_ccz_sweep,
+            verbose=True,
+            store_path=args.store,
+        )
+    except NotADirectoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -68,8 +68,9 @@ Quickstart::
         [formula], targets=repro.available_targets(), parallel=4
     )
 
-The pre-registry :func:`~repro.baselines.run_with_timeout` still works but
-emits :class:`DeprecationWarning`.
+The comparison compilers (Atomique, Geyser, DPQA) are targets like any
+other and return the same :class:`CompilationResult`; the evaluation
+harness (:mod:`repro.evaluation`) reads only that record.
 """
 
 from .exceptions import (

@@ -1,49 +1,28 @@
-"""Baseline compilers the paper evaluates against (§8.1).
+"""Comparison compilers the paper evaluates against (§8.1), as targets.
 
-Faithful laptop-scale re-implementations of the published algorithms:
+Faithful laptop-scale re-implementations of the published algorithms,
+each a :class:`~repro.targets.Target` registered under its name and
+returning the same :class:`~repro.targets.CompilationResult` as every
+other backend:
 
-* :class:`SuperconductingCompiler` — the Qiskit-style path (SABRE + heavy
-  hex), the paper's superconducting baseline.
-* :class:`AtomiqueCompiler` — fixed-atom-array compiler with SABRE-style
+* :class:`AtomiqueTarget` — fixed-atom-array compiler with SABRE-style
   mapping (O(N^3)) and movement-based (swap-free) routing, no 3-qubit
   gates [102].
-* :class:`GeyserCompiler` — circuit blocking into 3-qubit blocks on a
+* :class:`GeyserTarget` — circuit blocking into 3-qubit blocks on a
   fixed triangular lattice with an O(K^2) composition/optimization stage
   and no atom movement [68].
-* :class:`DpqaCompiler` — solver-style scheduling of 2-qubit gates into
+* :class:`DpqaTarget` — solver-style scheduling of 2-qubit gates into
   Rydberg stages via exact maximum-independent-set search per stage;
   completes on small instances and blows past any reasonable budget on
   larger ones, like the original SMT formulation [94].
-* :class:`WeaverCompiler` — adapter exposing the real Weaver pipeline
-  through the same interface.
 
-All compilers share :class:`BaselineResult` and honor a cooperative
-timeout, reproducing the paper's "X" (timed out) entries at laptop scale.
+The superconducting baseline is the built-in ``superconducting`` target.
+All of them honor the cooperative :class:`~repro.targets.base.Deadline`,
+which reproduces the paper's "X" (timed out) entries at laptop scale.
 """
 
-from .base import BaselineCompiler, BaselineResult, run_with_timeout
-from .superconducting import SuperconductingCompiler
-from .atomique import AtomiqueCompiler
-from .geyser import GeyserCompiler
-from .dpqa import DpqaCompiler
-from .weaver import WeaverCompiler
+from .atomique import AtomiqueTarget
+from .dpqa import DpqaTarget
+from .geyser import GeyserTarget
 
-ALL_COMPILERS = {
-    "superconducting": SuperconductingCompiler,
-    "atomique": AtomiqueCompiler,
-    "weaver": WeaverCompiler,
-    "dpqa": DpqaCompiler,
-    "geyser": GeyserCompiler,
-}
-
-__all__ = [
-    "ALL_COMPILERS",
-    "AtomiqueCompiler",
-    "BaselineCompiler",
-    "BaselineResult",
-    "DpqaCompiler",
-    "GeyserCompiler",
-    "SuperconductingCompiler",
-    "WeaverCompiler",
-    "run_with_timeout",
-]
+__all__ = ["AtomiqueTarget", "DpqaTarget", "GeyserTarget"]

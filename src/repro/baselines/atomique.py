@@ -24,30 +24,47 @@ from ..circuits import dependency_layers
 from ..fpqa.hardware import FPQAHardwareParams
 from ..passes.native_synthesis import nativize_circuit
 from ..qaoa.builder import QaoaParameters
-from ..sat.cnf import CnfFormula
 from ..superconducting.coupling import grid_coupling
 from ..superconducting.sabre import SabreRouter
-from .base import BaselineCompiler, BaselineResult, Deadline
+from ..targets.base import (
+    CAP_FORMULA,
+    Deadline,
+    Target,
+    measured_qaoa,
+    reject_unknown_options,
+)
+from ..targets.result import CompilationResult
+from ..targets.workload import Workload
 
 
-class AtomiqueCompiler(BaselineCompiler):
+class AtomiqueTarget(Target):
     name = "atomique"
+    description = "fixed atom array, SABRE mapping, movement-based routing"
+    capabilities = frozenset({CAP_FORMULA})
+    default_pipeline = ("qaoa-lowering", "nativize", "sabre-routing", "scheduling")
 
-    def __init__(self, hardware: FPQAHardwareParams | None = None, seed: int = 0):
+    def __init__(
+        self, hardware: FPQAHardwareParams | None = None, seed: int = 0, **unknown
+    ):
+        reject_unknown_options(self.name, unknown)
         self.hardware = hardware or FPQAHardwareParams()
         self.seed = seed
         #: Grid pitch of the fixed atom array (Atomique uses generous
         #: spacing so resting atoms never interact).
         self.grid_pitch_um = 20.0
 
-    def compile_formula(
+    def run(
         self,
-        formula: CnfFormula,
-        parameters: QaoaParameters | None = None,
-        deadline: Deadline | None = None,
-    ) -> BaselineResult:
+        workload: Workload,
+        parameters: QaoaParameters | None,
+        deadline: Deadline | None,
+        measure: bool = True,
+        **options,
+    ) -> CompilationResult:
         start = time.perf_counter()
-        circuit = self._qaoa(formula, parameters)
+        formula, circuit = measured_qaoa(
+            self.name, workload, parameters, measure, options
+        )
         # Atomique's pipeline compiles the raw gate stream (no U3 fusion).
         native = nativize_circuit(circuit, fuse=False)
         side = math.isqrt(formula.num_vars)
@@ -81,16 +98,16 @@ class AtomiqueCompiler(BaselineCompiler):
         eps = self._eps(counts, cz_pulses, duration_us, formula.num_vars)
         elapsed = time.perf_counter() - start
         num_pulses = counts["1q"] + counts["cz"] + counts["move"]
-        return BaselineResult(
-            compiler=self.name,
-            workload=formula.name,
-            num_vars=formula.num_vars,
+        return CompilationResult(
+            target=self.name,
+            workload=workload.name,
+            num_qubits=formula.num_vars,
             num_clauses=formula.num_clauses,
             compile_seconds=elapsed,
             execution_seconds=duration_us * 1e-6,
             eps=eps,
             num_pulses=num_pulses,
-            extra={"counts": counts, "moves": routing.num_swaps},
+            stats={"counts": counts, "moves": routing.num_swaps},
         )
 
     def _rearrangement_us(self, side: int) -> float:

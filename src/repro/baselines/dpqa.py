@@ -27,8 +27,15 @@ from ..circuits import QuantumCircuit
 from ..fpqa.hardware import FPQAHardwareParams
 from ..passes.native_synthesis import nativize_circuit
 from ..qaoa.builder import QaoaParameters
-from ..sat.cnf import CnfFormula
-from .base import BaselineCompiler, BaselineResult, Deadline
+from ..targets.base import (
+    CAP_FORMULA,
+    Deadline,
+    Target,
+    measured_qaoa,
+    reject_unknown_options,
+)
+from ..targets.result import CompilationResult
+from ..targets.workload import Workload
 
 
 def _greedy_independent_set(
@@ -91,10 +98,15 @@ def _max_independent_set(
     return best
 
 
-class DpqaCompiler(BaselineCompiler):
+class DpqaTarget(Target):
     name = "dpqa"
+    description = "solver-based Rydberg stage scheduling (exact MIS)"
+    capabilities = frozenset({CAP_FORMULA})
+    default_budget_seconds = 60.0
+    default_pipeline = ("qaoa-lowering", "nativize", "mis-staging")
 
-    def __init__(self, hardware: FPQAHardwareParams | None = None):
+    def __init__(self, hardware: FPQAHardwareParams | None = None, **unknown):
+        reject_unknown_options(self.name, unknown)
         self.hardware = hardware or FPQAHardwareParams()
         #: Average atom travel per rearrangement phase: DPQA moves whole
         #: AOD rows/columns across the array between stages.
@@ -102,14 +114,18 @@ class DpqaCompiler(BaselineCompiler):
         #: Each stage rearranges rows and columns in separate phases.
         self.moves_per_stage = 2
 
-    def compile_formula(
+    def run(
         self,
-        formula: CnfFormula,
-        parameters: QaoaParameters | None = None,
-        deadline: Deadline | None = None,
-    ) -> BaselineResult:
+        workload: Workload,
+        parameters: QaoaParameters | None,
+        deadline: Deadline | None,
+        measure: bool = True,
+        **options,
+    ) -> CompilationResult:
         start = time.perf_counter()
-        circuit = self._qaoa(formula, parameters)
+        formula, circuit = measured_qaoa(
+            self.name, workload, parameters, measure, options
+        )
         # DPQA consumes the raw gate stream (no U3 fusion in its pipeline).
         native = nativize_circuit(circuit, fuse=False)
         stages, oneq_gates = self._schedule(native, deadline)
@@ -139,16 +155,16 @@ class DpqaCompiler(BaselineCompiler):
         # Pulses: one global Rydberg per stage, one Raman per 1q gate, one
         # grouped move per stage boundary.
         num_pulses = len(stages) * 2 + oneq_gates
-        return BaselineResult(
-            compiler=self.name,
-            workload=formula.name,
-            num_vars=formula.num_vars,
+        return CompilationResult(
+            target=self.name,
+            workload=workload.name,
+            num_qubits=formula.num_vars,
             num_clauses=formula.num_clauses,
             compile_seconds=elapsed,
             execution_seconds=duration_us * 1e-6,
             eps=math.exp(log_eps),
             num_pulses=num_pulses,
-            extra={"num_stages": len(stages), "num_2q": num_2q},
+            stats={"num_stages": len(stages), "num_2q": num_2q},
         )
 
     # ------------------------------------------------------------------

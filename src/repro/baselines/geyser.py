@@ -28,10 +28,17 @@ from ..circuits import QuantumCircuit
 from ..fpqa.hardware import FPQAHardwareParams
 from ..passes.native_synthesis import nativize_circuit
 from ..qaoa.builder import QaoaParameters
-from ..sat.cnf import CnfFormula
 from ..superconducting.coupling import CouplingMap
 from ..superconducting.sabre import SabreRouter
-from .base import BaselineCompiler, BaselineResult, Deadline
+from ..targets.base import (
+    CAP_FORMULA,
+    Deadline,
+    Target,
+    measured_qaoa,
+    reject_unknown_options,
+)
+from ..targets.result import CompilationResult
+from ..targets.workload import Workload
 
 
 def triangular_coupling(num_qubits: int) -> CouplingMap:
@@ -52,21 +59,32 @@ def triangular_coupling(num_qubits: int) -> CouplingMap:
     return CouplingMap(side * side, edges)
 
 
-class GeyserCompiler(BaselineCompiler):
+class GeyserTarget(Target):
     name = "geyser"
+    description = "3-qubit circuit blocking on a fixed triangular lattice"
+    capabilities = frozenset({CAP_FORMULA})
+    default_budget_seconds = 60.0
+    default_pipeline = ("qaoa-lowering", "sabre-routing", "blocking", "composition")
 
-    def __init__(self, hardware: FPQAHardwareParams | None = None, seed: int = 0):
+    def __init__(
+        self, hardware: FPQAHardwareParams | None = None, seed: int = 0, **unknown
+    ):
+        reject_unknown_options(self.name, unknown)
         self.hardware = hardware or FPQAHardwareParams()
         self.seed = seed
 
-    def compile_formula(
+    def run(
         self,
-        formula: CnfFormula,
-        parameters: QaoaParameters | None = None,
-        deadline: Deadline | None = None,
-    ) -> BaselineResult:
+        workload: Workload,
+        parameters: QaoaParameters | None,
+        deadline: Deadline | None,
+        measure: bool = True,
+        **options,
+    ) -> CompilationResult:
         start = time.perf_counter()
-        circuit = self._qaoa(formula, parameters)
+        formula, circuit = measured_qaoa(
+            self.name, workload, parameters, measure, options
+        )
         native = nativize_circuit(circuit)
         coupling = triangular_coupling(formula.num_vars)
         router = SabreRouter(coupling, seed=self.seed)
@@ -77,16 +95,16 @@ class GeyserCompiler(BaselineCompiler):
         pulses = self._compose_blocks(blocked, deadline)
         duration_us = self._execution_time_us(blocked)
         elapsed = time.perf_counter() - start
-        return BaselineResult(
-            compiler=self.name,
-            workload=formula.name,
-            num_vars=formula.num_vars,
+        return CompilationResult(
+            target=self.name,
+            workload=workload.name,
+            num_qubits=formula.num_vars,
             num_clauses=formula.num_clauses,
             compile_seconds=elapsed,
             execution_seconds=duration_us * 1e-6,
             eps=None,  # excluded from Fig. 12, see module docstring
             num_pulses=pulses,
-            extra={"num_blocks": num_blocks, "swaps": routing.num_swaps},
+            stats={"num_blocks": num_blocks, "swaps": routing.num_swaps},
         )
 
     # ------------------------------------------------------------------

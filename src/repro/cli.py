@@ -9,7 +9,7 @@ Commands
 ``check``     verify a wQasm file with the wChecker
 ``lint``      statically verify a compiled artifact with wLint
 ``export``    DIMACS CNF -> DPQA-format JSON (artifact step 6)
-``bench``     run the laptop-scale artifact sweep (same as run.py --quick)
+``bench``     run the laptop-scale artifact sweep (run.py --quick --no-ccz-sweep)
 ``serve``     host the async compilation service on a local socket
 ``submit``    send a workload to a running service (or query its stats)
 ``trace``     record any weaver command as a Chrome trace (Perfetto)
@@ -39,10 +39,10 @@ Examples::
     weaver serve --store-dir /var/lib/weaver --max-pending 256 &
     weaver jobs --dead --socket /tmp/weaver.sock
 
-``simulate`` accepts either a workload file or a SATLIB-style instance
-name (``uf20-07``); its stdout (counts, sampled EPS with confidence
-interval, approximation ratio) is bit-identical across reruns with the
-same seed.
+``compile``, ``simulate``, ``lint`` and ``submit`` accept either a
+workload file or a SATLIB-style instance name (``uf20-07``).
+``simulate``'s stdout (counts, sampled EPS with confidence interval,
+approximation ratio) is bit-identical across reruns with the same seed.
 
 Exit codes: 0 success, 1 internal error (or failed verification),
 2 user error (bad input file, unknown target, malformed wQasm).
@@ -80,8 +80,42 @@ def _print_profile(args: argparse.Namespace, result) -> None:
         print(format_profile_table(result.profile or {}), file=sys.stderr)
 
 
+def _workload_arg(source: str) -> Workload:
+    """A workload from a file path or a SATLIB-style instance name."""
+    import re
+
+    if not Path(source).exists() and re.fullmatch(r"uf\d+-\d+", source):
+        from .sat import satlib_instance
+
+        return Workload.from_formula(satlib_instance(source))
+    return Workload.from_file(source)
+
+
+def _compile_summary(result) -> str:
+    """The "compiled X for T on D" line every compiling command prints."""
+    return (
+        f"compiled {result.workload} for {result.target}"
+        + (f" on {result.device}" if result.device else "")
+        + f": {result.num_qubits} qubits"
+        + (f", {result.num_clauses} clauses" if result.num_clauses else "")
+        + f" ({result.compile_seconds * 1e3:.0f} ms compile)"
+    )
+
+
+def _print_gate_metrics(result) -> None:
+    """Metrics of a gate-level result (no wQasm program to print)."""
+    lines = {
+        "execution_seconds": result.execution_seconds,
+        "eps": result.eps,
+        **{k: v for k, v in result.stats.items() if isinstance(v, (int, float))},
+    }
+    for key, value in lines.items():
+        if value is not None:
+            print(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
-    workload = Workload.from_file(args.input)
+    workload = _workload_arg(args.input)
     parameters = QaoaParameters((args.gamma,), (args.beta,))
     options: dict = {"measure": not args.no_measure}
     if args.compression != "auto":
@@ -94,13 +128,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         device=args.device,
         **options,
     )
-    summary = (
-        f"compiled {workload.name} for {result.target}"
-        + (f" on {result.device}" if result.device else "")
-        + f": {result.num_qubits} qubits"
-        + (f", {result.num_clauses} clauses" if result.num_clauses else "")
-        + f" ({result.compile_seconds * 1e3:.0f} ms compile)"
-    )
+    summary = _compile_summary(result)
     if result.program is not None:
         text = result.program.to_wqasm()
         if args.output:
@@ -130,14 +158,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     else:
         # Gate-level targets have no wQasm emission; report metrics instead.
         print(summary, file=sys.stderr)
-        lines = {
-            "execution_seconds": result.execution_seconds,
-            "eps": result.eps,
-            **{k: v for k, v in result.stats.items() if isinstance(v, (int, float))},
-        }
-        for key, value in lines.items():
-            if value is not None:
-                print(f"{key}: {value:.6g}" if isinstance(value, float) else f"{key}: {value}")
+        _print_gate_metrics(result)
         _print_profile(args, result)
         if args.verify:
             print(
@@ -152,17 +173,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     return 0
-
-
-def _simulate_workload(source: str) -> "Workload":
-    """A workload from a file path or a SATLIB-style instance name."""
-    import re
-
-    if not Path(source).exists() and re.fullmatch(r"uf\d+-\d+", source):
-        from .sat import satlib_instance
-
-        return Workload.from_formula(satlib_instance(source))
-    return Workload.from_file(source)
 
 
 def _format_execution(execution, top: int) -> list[str]:
@@ -210,7 +220,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     from .sim import simulate_result
 
-    workload = _simulate_workload(args.input)
+    workload = _workload_arg(args.input)
     parameters = QaoaParameters((args.gamma,), (args.beta,))
     result = compile_workload(
         workload,
@@ -219,14 +229,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         budget_seconds=args.budget,
         device=args.device,
     )
-    summary = (
-        f"compiled {workload.name} for {result.target}"
-        + (f" on {result.device}" if result.device else "")
-        + f": {result.num_qubits} qubits"
-        + (f", {result.num_clauses} clauses" if result.num_clauses else "")
-        + f" ({result.compile_seconds * 1e3:.0f} ms compile)"
-    )
-    print(summary, file=sys.stderr)
+    print(_compile_summary(result), file=sys.stderr)
     import time as time_module
 
     started = time_module.perf_counter()
@@ -329,19 +332,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         # Compile a workload (file or SATLIB-style name) and lint the
         # artifact, bounds pass included.
-        workload = _simulate_workload(args.input)
         result = compile_workload(
-            workload,
+            _workload_arg(args.input),
             target=args.target,
             budget_seconds=args.budget,
             device=args.device,
         )
-        print(
-            f"compiled {workload.name} for {result.target}"
-            + (f" on {result.device}" if result.device else "")
-            + f" ({result.compile_seconds * 1e3:.0f} ms)",
-            file=sys.stderr,
-        )
+        print(_compile_summary(result), file=sys.stderr)
         report = result.analyze()
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=1))
@@ -365,13 +362,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .evaluation import EvaluationConfig
     from .evaluation.artifact import run_artifact
 
-    config = EvaluationConfig(
-        fixed_instances=tuple(f"uf20-{i:02d}" for i in range(1, 4)),
-        scaling_sizes=(20, 50),
-        instances_per_size=1,
-    )
     run_artifact(
-        config, include_ccz_sweep=False, verbose=True, store_path=args.store
+        EvaluationConfig.quick(),
+        include_ccz_sweep=False,
+        verbose=True,
+        store_path=args.store,
     )
     return 0
 
@@ -583,7 +578,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     import json as json_module
 
     from .service import ServiceClient
-    from .targets import Workload
 
     async def run() -> int:
         client = await ServiceClient.connect(args.socket)
@@ -624,7 +618,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            workload = Workload.from_file(args.input)
+            workload = _workload_arg(args.input)
             options: dict = {}
             if args.no_measure:
                 options["measure"] = False
@@ -696,22 +690,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             else:
                 # Gate-level targets emit no program; report metrics,
                 # matching `weaver compile`.
-                lines = {
-                    "execution_seconds": result.execution_seconds,
-                    "eps": result.eps,
-                    **{
-                        k: v
-                        for k, v in result.stats.items()
-                        if isinstance(v, (int, float))
-                    },
-                }
-                for key, value in lines.items():
-                    if value is not None:
-                        print(
-                            f"{key}: {value:.6g}"
-                            if isinstance(value, float)
-                            else f"{key}: {value}"
-                        )
+                _print_gate_metrics(result)
             return 0
         finally:
             await client.close()
@@ -724,7 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser("compile", help="compile a workload for a target")
-    p_compile.add_argument("input", help="DIMACS .cnf or OpenQASM .qasm file")
+    p_compile.add_argument(
+        "input",
+        help="DIMACS .cnf / OpenQASM .qasm file, or a SATLIB-style "
+             "instance name like uf20-01",
+    )
     p_compile.add_argument("-o", "--output", help="wQasm output path (default stdout)")
     p_compile.add_argument(
         "-t", "--target", default=None,
@@ -849,10 +832,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("-o", "--output", help="JSON output path (default stdout)")
     p_export.set_defaults(func=_cmd_export)
 
-    p_bench = sub.add_parser("bench", help="quick artifact sweep")
+    p_bench = sub.add_parser(
+        "bench", help="quick artifact sweep (run.py --quick --no-ccz-sweep)"
+    )
     p_bench.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="persist/resume results at this JSON path",
+        "--store", metavar="DIR", default=None,
+        help="store directory to persist/resume results in (the format "
+             "of `weaver serve --store-dir`)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -977,7 +963,9 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="send a workload to a running service"
     )
     p_submit.add_argument(
-        "input", nargs="?", help="DIMACS .cnf or OpenQASM .qasm file"
+        "input", nargs="?",
+        help="DIMACS .cnf / OpenQASM .qasm file, or a SATLIB-style "
+             "instance name like uf20-01",
     )
     p_submit.add_argument(
         "--socket", default="/tmp/weaver.sock",

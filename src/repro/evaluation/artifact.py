@@ -102,21 +102,17 @@ def run_artifact(
     config: EvaluationConfig | None = None,
     include_ccz_sweep: bool = True,
     verbose: bool = True,
-    store: ResultStore | None = None,
     store_path=None,
 ) -> ArtifactReport:
     """Execute the full evaluation and regenerate every figure/table.
 
-    Pass ``store_path`` to persist every compiled cell to JSON as it
-    lands (and transparently reuse any cells already saved there), so an
-    interrupted sweep loses at most the cell in flight.
+    ``store_path`` is a store directory (the session ``cache_dir``):
+    every compiled cell lands there as it finishes and cells already
+    there are read back, so an interrupted sweep loses at most the cell
+    in flight.  An existing regular file raises
+    :class:`NotADirectoryError`.
     """
-    store = store or ResultStore(config)
-    if store_path is not None:
-        loaded = store.load(store_path)
-        store.autosave_path = store_path
-        if verbose and loaded:
-            print(f"[artifact] resumed {loaded} cells from {store_path}", flush=True)
+    store = ResultStore(config, cache_dir=store_path)
     report = ArtifactReport()
 
     def step(name: str, func) -> None:
@@ -144,4 +140,10 @@ def run_artifact(
         )
     if verbose:
         print(report.render())
+        lookups = store.session.stats()["caches"].get("session.results", {})
+        print(
+            f"[artifact] compiled {lookups.get('misses', 0)} cells; "
+            f"{lookups.get('hits', 0)} lookups served from the store",
+            flush=True,
+        )
     return report

@@ -3,27 +3,26 @@
 The paper's experiment harness runs each compiler over the benchmark suite
 under a 20-hour timeout (§8.1).  At laptop scale the default budget is 60
 seconds — the same compilers hit it in the same places (Geyser and DPQA
-above 20 variables).  Every run is cached in the :class:`ResultStore`, so
-all figures derive from a single compile of each cell, and a store can be
-persisted to JSON so interrupted sweeps resume instead of recompiling.
+above 20 variables).
 
-Since the target-registry redesign the runner is a thin veneer over
-:mod:`repro.targets`: each evaluation "compiler" name resolves to a
-registered target, and rows are the unified results viewed as legacy
-:class:`BaselineResult` records (the shape the figure code consumes).
+:class:`ResultStore` is the grid's view over one
+:class:`~repro.CompilerSession`: each evaluation "compiler" name is a
+registered target (``"weaver"`` is the registry alias of ``"fpqa"``),
+every cell is a :class:`~repro.targets.CompilationResult`, and the
+session's artifact store is the only cache.  With a ``cache_dir`` the
+cells persist as ``<key>.json`` artifacts — the directory format
+``weaver serve --store-dir`` also uses — so an interrupted sweep
+recompiles only the cells it had not finished.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..baselines.base import BaselineResult
-from ..targets.base import Target
-from ..targets.registry import get_target
+from ..targets.registry import resolve_target_name
+from ..targets.result import CompilationResult
+from ..targets.session import CompilerSession
 from ..targets.workload import Workload
 from .workloads import (
     FIXED_SIZE_INSTANCES,
@@ -42,10 +41,6 @@ DEFAULT_BUDGETS: dict[str, float] = {
     "geyser": 60.0,
     "dpqa": 60.0,
 }
-
-#: The superconducting backend has 127 qubits; the paper stops that
-#: baseline at 100 variables (Fig. 8 caption).
-SUPERCONDUCTING_MAX_VARS = 127
 
 #: Sizes at which the exponential/quadratic compilers are actually
 #: attempted; beyond the first timeout size they are recorded as timed out
@@ -72,147 +67,84 @@ class EvaluationConfig:
     #: Each name must be registered in :mod:`repro.devices`.
     devices: tuple[str, ...] = ()
 
+    @classmethod
+    def quick(cls, **fields) -> "EvaluationConfig":
+        """The small, fast sweep of ``run.py --quick`` and ``weaver bench``:
+        three uf20 instances and one instance each of 20, 50 and 75
+        variables."""
+        return cls(
+            fixed_instances=tuple(f"uf20-{i:02d}" for i in range(1, 4)),
+            scaling_sizes=(20, 50, 75),
+            instances_per_size=1,
+            **fields,
+        )
+
 
 class ResultStore:
-    """Cache of (compiler, workload) -> :class:`BaselineResult`.
+    """The evaluation grid over one :class:`~repro.CompilerSession`.
 
-    ``compiler`` keys are evaluation names; each resolves to a registered
-    target (``"weaver"`` is the registry alias of ``"fpqa"``).
+    ``compiler`` names are evaluation names; each resolves to a
+    registered target.  ``cache_dir`` is the session's store directory
+    (``None``: memory only); an existing regular file there raises
+    :class:`NotADirectoryError`.
     """
 
     def __init__(
         self,
         config: EvaluationConfig | None = None,
-        autosave_path: str | Path | None = None,
+        cache_dir: str | Path | None = None,
     ):
         self.config = config or EvaluationConfig()
-        self.results: dict[tuple[str, str], BaselineResult] = {}
-        self._targets: dict[str, Target] = {}
-        #: When set, every freshly-compiled cell rewrites this JSON file,
-        #: so even a mid-sweep interrupt loses at most the cell in flight.
-        self.autosave_path = Path(autosave_path) if autosave_path else None
-
-    def _target(self, name: str, device: str | None = None) -> Target:
-        key = name if device is None else f"{name}@{device}"
-        if key not in self._targets:
-            options = {} if device is None else {"device": device}
-            self._targets[key] = get_target(name, **options)
-        return self._targets[key]
+        if cache_dir is not None and Path(cache_dir).is_file():
+            raise NotADirectoryError(
+                f"{cache_dir} is a file, not a store directory; JSON result "
+                "stores from older versions are not read (the store is a "
+                "directory of artifacts, the format of `weaver serve "
+                "--store-dir`): pass a directory, or delete the file"
+            )
+        self.session = CompilerSession(
+            budgets=self.config.budgets, cache_dir=cache_dir
+        )
 
     def run(
         self, compiler: str, workload: str, device: str | None = None
-    ) -> BaselineResult:
-        """Compile one cell (cached).
+    ) -> CompilationResult:
+        """Compile one cell (cached by the session).
 
         ``device`` selects a registered device profile for device-aware
-        compilers (the fpqa and superconducting paths); the cell is then
-        keyed and recorded as ``compiler@device``, so device-sweep rows
-        persist and resume alongside the plain grid.
+        compilers (the fpqa and superconducting paths); the result
+        records it in ``device``.
         """
-        label = compiler if device is None else f"{compiler}@{device}"
-        key = (label, workload)
-        if key in self.results:
-            return self.results[key]
         formula = load_workload(workload)
         limit = ATTEMPT_LIMIT.get(compiler)
         if limit is not None and formula.num_vars > limit:
-            result = BaselineResult(
-                compiler=label,
+            return CompilationResult(
+                target=resolve_target_name(compiler),
                 workload=workload,
-                num_vars=formula.num_vars,
+                num_qubits=formula.num_vars,
                 num_clauses=formula.num_clauses,
                 compile_seconds=self.config.budgets.get(compiler, 60.0),
                 timed_out=True,
             )
-        elif (
-            compiler == "superconducting"
-            and device is None
-            and formula.num_vars > SUPERCONDUCTING_MAX_VARS
-        ):
-            result = BaselineResult(
-                compiler=label,
-                workload=workload,
-                num_vars=formula.num_vars,
-                num_clauses=formula.num_clauses,
-                error="exceeds 127-qubit backend",
-            )
-        else:
-            unified = self._target(compiler, device).compile(
-                Workload.from_formula(formula, name=workload),
-                budget_seconds=self.config.budgets.get(compiler),
-                on_error="result",
-            )
-            result = unified.to_baseline_result(compiler=label)
-        self.results[key] = result
-        if self.autosave_path is not None:
-            self.save(self.autosave_path)
-        return result
+        return self.session.compile(
+            Workload.from_formula(formula, name=workload), compiler, device=device
+        )
 
     # ------------------------------------------------------------------
-    # Persistence: JSON round trip so sweeps resume across runs
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> int:
-        """Write every cached cell to ``path`` as JSON; returns the count.
-
-        The write is atomic (temp file + rename): this file is rewritten
-        after every cell during autosave, and an interrupt mid-write must
-        never corrupt the store a resume depends on.
-        """
-        path = Path(path)
-        payload = {
-            "format": "weaver-result-store",
-            "version": 1,
-            "results": [row.to_dict() for row in self.results.values()],
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-        os.replace(tmp, path)
-        return len(self.results)
-
-    def load(self, path: str | Path) -> int:
-        """Merge previously-saved cells; returns how many were loaded.
-
-        Loaded cells are keyed by (compiler, workload) exactly like live
-        runs, so a subsequent sweep recompiles only the missing cells.
-        A truncated/corrupt store is treated as empty (with a warning)
-        rather than aborting the sweep it was meant to resume.
-        """
-        path = Path(path)
-        if not path.exists():
-            return 0
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError) as exc:
-            warnings.warn(
-                f"result store {path} is unreadable ({exc}); starting fresh",
-                stacklevel=2,
-            )
-            return 0
-        if payload.get("format") != "weaver-result-store":
-            raise ValueError(f"{path} is not a saved result store")
-        count = 0
-        for row in payload.get("results", ()):
-            result = BaselineResult.from_dict(row)
-            self.results[(result.compiler, result.workload)] = result
-            count += 1
-        return count
-
-    # ------------------------------------------------------------------
-    def fixed_size_results(self, compiler: str) -> list[BaselineResult]:
+    def fixed_size_results(self, compiler: str) -> list[CompilationResult]:
         """All ten uf20 cells for one compiler (Figures 8a/11a/12a)."""
         return [self.run(compiler, name) for name in self.config.fixed_instances]
 
     def scaling_results(
         self, compiler: str, num_vars: int
-    ) -> list[BaselineResult]:
+    ) -> list[CompilationResult]:
         """The cells of one scaling data point (Figures 8b/10b/11b/12b)."""
         names = scaling_instances(num_vars, self.config.instances_per_size)
         return [self.run(compiler, name) for name in names]
 
     def device_sweep_results(
         self, device: str, compiler: str = "weaver"
-    ) -> list[BaselineResult]:
+    ) -> list[CompilationResult]:
         """The fixed-suite cells of one device (the device-sweep axis)."""
         return [
             self.run(compiler, name, device=device)

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 from ..exceptions import TargetError, WeaverError
 from ..perf import Profiler
 from ..targets.artifacts import ArtifactStore
+from ..targets.registry import canonical_target_table
 from ..targets.request import CompileRequest, run_request, traced_run_request
 from ..targets.result import CompilationResult
 from ..telemetry.metrics import MetricsRegistry
@@ -154,9 +155,12 @@ class CompilationService:
             self.store.profiler = self.profiler
         if self.store.metrics is None:
             self.store.metrics = self.metrics
-        self.budgets = dict(budgets or {})
+        self.budgets = canonical_target_table(budgets, "budgets")
         self.parameters = parameters
-        self.target_options = {k: dict(v) for k, v in (target_options or {}).items()}
+        self.target_options = {
+            k: dict(v)
+            for k, v in canonical_target_table(target_options, "target_options").items()
+        }
         self._queues: list[FairQueue] = [FairQueue() for _ in range(shards)]
         self._executors: list = [None] * shards
         self._workers: list[asyncio.Task] = []

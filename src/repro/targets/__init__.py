@@ -22,15 +22,7 @@ from .base import (
     CAP_WQASM,
     Target,
 )
-from .builtin import (
-    AtomiqueTarget,
-    BaselineTarget,
-    DpqaTarget,
-    FPQATarget,
-    GeyserTarget,
-    NoCompressFPQATarget,
-    SuperconductingTarget,
-)
+from .builtin import FPQATarget, NoCompressFPQATarget, SuperconductingTarget
 from .registry import (
     available_targets,
     get_target,
@@ -43,6 +35,7 @@ from .request import CompileRequest
 from .result import CompilationResult
 from .session import CompilerSession
 from .workload import Workload, coerce_workload
+from ..baselines import AtomiqueTarget, DpqaTarget, GeyserTarget
 
 __all__ = [
     "CAP_CIRCUIT",
@@ -51,7 +44,6 @@ __all__ = [
     "CAP_WQASM",
     "ArtifactStore",
     "AtomiqueTarget",
-    "BaselineTarget",
     "CompilationResult",
     "CompileRequest",
     "CompilerSession",

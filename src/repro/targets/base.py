@@ -16,10 +16,12 @@ instantiates targets directly unless it wants non-default hardware.
 from __future__ import annotations
 
 import abc
+import time
 
-from ..baselines.base import Deadline
-from ..exceptions import CompilationTimeout
+from ..circuits import QuantumCircuit
+from ..exceptions import CompilationTimeout, TargetError
 from ..qaoa.builder import QaoaParameters
+from ..sat.cnf import CnfFormula
 from .result import CompilationResult
 from .workload import Workload
 
@@ -28,6 +30,62 @@ CAP_FORMULA = "formula"  #: consumes CNF-formula workloads
 CAP_CIRCUIT = "circuit"  #: consumes gate-level circuit workloads
 CAP_WQASM = "wqasm"  #: emits a wQasm program
 CAP_VERIFY = "verify"  #: results can be checked with the wChecker
+
+
+class Deadline:
+    """Cooperative timeout shared across a compiler's inner loops."""
+
+    def __init__(self, budget_seconds: float | None, compiler: str):
+        self.compiler = compiler
+        self.budget_seconds = budget_seconds
+        self.start = time.perf_counter()
+
+    def check(self) -> None:
+        if (
+            self.budget_seconds is not None
+            and time.perf_counter() - self.start > self.budget_seconds
+        ):
+            raise CompilationTimeout(self.compiler, self.budget_seconds)
+
+    @property
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.start
+
+
+def reject_unknown_options(target: str, options: dict) -> None:
+    """Unknown target or compile options are an error, never a silent no-op."""
+    if "device" in options:
+        raise TargetError(
+            f"target {target!r} does not support device profiles; "
+            "only fpqa and superconducting targets are device-aware"
+        )
+    if options:
+        raise TargetError(
+            f"target {target!r} does not support option(s): "
+            f"{', '.join(sorted(options))}"
+        )
+
+
+def measured_qaoa(
+    target: str,
+    workload: Workload,
+    parameters: QaoaParameters | None,
+    measure: bool,
+    options: dict,
+) -> tuple[CnfFormula, QuantumCircuit]:
+    """A formula workload and its measured QAOA circuit.
+
+    The lowering of the comparison compilers (Atomique, Geyser, DPQA):
+    they take a CNF formula only, accept no compile options and always
+    measure (paper §A.4.1).
+    """
+    if not measure:
+        raise TargetError(
+            f"target {target!r} always measures; measure=False is not supported"
+        )
+    reject_unknown_options(target, options)
+    formula = workload.require_formula(target)
+    return formula, workload.circuit(parameters, measure=True)
 
 
 class Target(abc.ABC):

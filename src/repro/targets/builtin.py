@@ -1,6 +1,5 @@
-"""The six built-in targets behind the registry.
-
-Two native implementations and a generic adapter:
+"""The device-aware built-in targets: Weaver's FPQA path and the
+superconducting path.
 
 * :class:`FPQATarget` — the real Weaver pipeline (wOptimizer passes plus
   code generation), the paper's FPQA path.  ``fpqa-nocompress`` is the
@@ -9,31 +8,30 @@ Two native implementations and a generic adapter:
 * :class:`SuperconductingTarget` — the Qiskit-style transpiler path onto
   the 127-qubit heavy-hex backend.  The only target that consumes raw
   circuit workloads as well as formulas.
-* :class:`BaselineTarget` — adapter class exposing the re-implemented
-  comparison compilers (Atomique, Geyser, DPQA) through the same seam.
+
+The comparison compilers (Atomique, Geyser, DPQA) are targets too; each
+lives beside its algorithm in :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
 
-from ..baselines.base import Deadline
 from ..devices.cost import cost_model_for
 from ..devices.profile import DeviceProfile
 from ..devices.registry import resolve_device
 from ..exceptions import RoutingError, TargetError
 from ..fpqa.hardware import FPQAHardwareParams
 from ..qaoa.builder import QaoaParameters
-from .base import CAP_CIRCUIT, CAP_FORMULA, CAP_VERIFY, CAP_WQASM, Target
+from .base import (
+    CAP_CIRCUIT,
+    CAP_FORMULA,
+    CAP_VERIFY,
+    CAP_WQASM,
+    Deadline,
+    Target,
+    reject_unknown_options,
+)
 from .result import CompilationResult
 from .workload import Workload
-
-
-def _reject_unknown_options(target: str, options: dict) -> None:
-    """Unknown compile options are an error, never a silent no-op."""
-    if options:
-        raise TargetError(
-            f"target {target!r} does not support option(s): "
-            f"{', '.join(sorted(options))}"
-        )
 
 
 def _resolve_profile(
@@ -71,7 +69,7 @@ class FPQATarget(Target):
         device: str | DeviceProfile | None = None,
         **unknown,
     ):
-        _reject_unknown_options(self.name, unknown)
+        reject_unknown_options(self.name, unknown)
         self.profile: DeviceProfile | None = None
         if device is not None:
             if hardware is not None:
@@ -108,7 +106,7 @@ class FPQATarget(Target):
                 f"{self.profile.name!r} capacity of {self.profile.max_qubits} atoms"
             )
         coloring_algorithm = options.pop("coloring_algorithm", self.coloring_algorithm)
-        _reject_unknown_options(self.name, options)
+        reject_unknown_options(self.name, options)
         compiler = FPQACompiler(
             hardware=self.hardware,
             compression=compression if compression is not None else self.compression,
@@ -188,7 +186,7 @@ class SuperconductingTarget(Target):
     ):
         from ..superconducting.backend import washington_backend
 
-        _reject_unknown_options(self.name, unknown)
+        reject_unknown_options(self.name, unknown)
         self.profile: DeviceProfile | None = None
         if device is not None:
             if backend is not None:
@@ -212,7 +210,7 @@ class SuperconductingTarget(Target):
     ) -> CompilationResult:
         from ..superconducting.transpiler import SuperconductingTranspiler
 
-        _reject_unknown_options(self.name, options)
+        reject_unknown_options(self.name, options)
         if workload.num_qubits > self.backend.num_qubits:
             raise RoutingError(
                 f"{workload.num_qubits} qubits exceed the "
@@ -241,82 +239,3 @@ class SuperconductingTarget(Target):
             device=self.device_name,
             device_profile=self.profile.to_dict() if self.profile else None,
         )
-
-
-class BaselineTarget(Target):
-    """Adapter: any legacy :class:`BaselineCompiler` as a target."""
-
-    capabilities = frozenset({CAP_FORMULA})
-    #: Subclasses set the wrapped compiler class.
-    baseline_cls: type | None = None
-
-    def __init__(self, **compiler_options):
-        if "device" in compiler_options:
-            raise TargetError(
-                f"target {self.name!r} does not support device profiles; "
-                "only fpqa and superconducting targets are device-aware"
-            )
-        try:
-            self._compiler = self.baseline_cls(**compiler_options)
-        except TypeError as exc:
-            # Unknown constructor options are a user error, not a crash.
-            raise TargetError(f"target {self.name!r}: {exc}") from exc
-
-    def run(
-        self,
-        workload: Workload,
-        parameters: QaoaParameters | None,
-        deadline: Deadline | None,
-        measure: bool = True,
-        **options,
-    ) -> CompilationResult:
-        if not measure:
-            # The wrapped pipelines always lower to a measured circuit.
-            raise TargetError(
-                f"target {self.name!r} always measures; measure=False is "
-                "not supported"
-            )
-        _reject_unknown_options(self.name, options)
-        formula = workload.require_formula(self.name)
-        row = self._compiler.compile_formula(formula, parameters, deadline)
-        result = CompilationResult.from_baseline_result(row, target=self.name)
-        result.workload = workload.name
-        return result
-
-
-class AtomiqueTarget(BaselineTarget):
-    name = "atomique"
-    description = "fixed atom array, SABRE mapping, movement-based routing"
-    default_pipeline = ("qaoa-lowering", "nativize", "sabre-routing", "scheduling")
-
-    @staticmethod
-    def baseline_cls(**kw):
-        from ..baselines.atomique import AtomiqueCompiler
-
-        return AtomiqueCompiler(**kw)
-
-
-class GeyserTarget(BaselineTarget):
-    name = "geyser"
-    description = "3-qubit circuit blocking on a fixed triangular lattice"
-    default_budget_seconds = 60.0
-    default_pipeline = ("qaoa-lowering", "sabre-routing", "blocking", "composition")
-
-    @staticmethod
-    def baseline_cls(**kw):
-        from ..baselines.geyser import GeyserCompiler
-
-        return GeyserCompiler(**kw)
-
-
-class DpqaTarget(BaselineTarget):
-    name = "dpqa"
-    description = "solver-based Rydberg stage scheduling (exact MIS)"
-    default_budget_seconds = 60.0
-    default_pipeline = ("qaoa-lowering", "nativize", "mis-staging")
-
-    @staticmethod
-    def baseline_cls(**kw):
-        from ..baselines.dpqa import DpqaCompiler
-
-        return DpqaCompiler(**kw)

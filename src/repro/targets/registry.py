@@ -17,16 +17,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..baselines import AtomiqueTarget, DpqaTarget, GeyserTarget
 from ..exceptions import TargetError, UnknownTargetError
 from .base import Target
-from .builtin import (
-    AtomiqueTarget,
-    DpqaTarget,
-    FPQATarget,
-    GeyserTarget,
-    NoCompressFPQATarget,
-    SuperconductingTarget,
-)
+from .builtin import FPQATarget, NoCompressFPQATarget, SuperconductingTarget
 
 _REGISTRY: dict[str, Callable[..., Target]] = {}
 _ALIASES: dict[str, str] = {}
@@ -51,6 +45,26 @@ def resolve_target_name(name: str) -> str:
     canonical = _ALIASES.get(name, name)
     if canonical not in _REGISTRY:
         raise UnknownTargetError(name, available=tuple(available_targets()))
+    return canonical
+
+
+def canonical_target_table(table: dict | None, what: str) -> dict:
+    """A per-target table (budgets, target options) keyed by canonical
+    names, so an entry under an alias (``"weaver"``) applies to its
+    target (``"fpqa"``).
+
+    An unregistered key, or an alias given together with its canonical
+    name, raises :class:`~repro.exceptions.TargetError`.
+    """
+    canonical: dict = {}
+    for name, value in (table or {}).items():
+        key = resolve_target_name(name)
+        if key in canonical:
+            raise TargetError(
+                f"{what} has two entries for target {key!r} "
+                "(a name and its alias); keep one"
+            )
+        canonical[key] = value
     return canonical
 
 

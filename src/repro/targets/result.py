@@ -1,11 +1,9 @@
 """The common result record every target returns.
 
-:class:`CompilationResult` unifies the two historical result types —
-:class:`~repro.passes.woptimizer.WeaverCompilationResult` (FPQA path,
-carries the wQasm program) and
-:class:`~repro.baselines.base.BaselineResult` (evaluation rows) — into
-one JSON-serializable record, so the evaluation harness, the session
-cache, and user code all consume the same shape regardless of backend.
+:class:`CompilationResult` is the one JSON-serializable record behind
+``repro.compile``, :class:`~repro.CompilerSession`, the compilation
+service and the evaluation harness, so user code, the artifact store and
+the paper's figures all consume the same shape regardless of backend.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ RESULT_SCHEMA_VERSION = 1
 def jsonify(value: Any) -> Any:
     """Best-effort conversion of metric payloads into JSON-safe values.
 
-    Shared by every result serializer in the framework (unified results,
-    legacy :class:`~repro.baselines.base.BaselineResult` rows).
+    Shared by every serializer in the framework (results, request keys).
     """
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
@@ -81,8 +78,8 @@ class CompilationResult:
         return not self.timed_out and self.error is None
 
     # ------------------------------------------------------------------
-    # JSON round trip (used by the session's on-disk cache and the
-    # evaluation ResultStore persistence)
+    # JSON round trip (the artifact bytes of the session's and the
+    # service's ArtifactStore)
     # ------------------------------------------------------------------
     def to_dict(self, include_program: bool = True) -> dict:
         payload = {
@@ -252,44 +249,3 @@ class CompilationResult:
         from ..analysis import analyze_result
 
         return analyze_result(self)
-
-    # ------------------------------------------------------------------
-    # Interop with the legacy evaluation record
-    # ------------------------------------------------------------------
-    def to_baseline_result(self, compiler: str | None = None):
-        """View this result as a legacy :class:`BaselineResult` row."""
-        from ..baselines.base import BaselineResult
-
-        extra = dict(self.stats)
-        if self.device is not None:
-            extra.setdefault("device", self.device)
-        return BaselineResult(
-            compiler=compiler or self.target,
-            workload=self.workload,
-            num_vars=self.num_qubits,
-            num_clauses=self.num_clauses or 0,
-            compile_seconds=self.compile_seconds,
-            execution_seconds=self.execution_seconds,
-            eps=self.eps,
-            num_pulses=self.num_pulses,
-            timed_out=self.timed_out,
-            error=self.error,
-            extra=extra,
-        )
-
-    @classmethod
-    def from_baseline_result(cls, result, target: str | None = None) -> "CompilationResult":
-        """Lift a legacy :class:`BaselineResult` into the unified record."""
-        return cls(
-            target=target or result.compiler,
-            workload=result.workload,
-            num_qubits=result.num_vars,
-            num_clauses=result.num_clauses,
-            compile_seconds=result.compile_seconds,
-            execution_seconds=result.execution_seconds,
-            eps=result.eps,
-            num_pulses=result.num_pulses,
-            timed_out=result.timed_out,
-            error=result.error,
-            stats=dict(result.extra),
-        )

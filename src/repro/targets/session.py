@@ -30,6 +30,7 @@ from ..perf import Profiler
 from ..qaoa.builder import QaoaParameters
 from ..telemetry.trace import current_context, current_tracer, span as _span
 from .artifacts import ArtifactStore
+from .registry import canonical_target_table
 from .request import CompileRequest, run_request, traced_run_request
 from .result import CompilationResult
 from .workload import coerce_workload
@@ -42,7 +43,9 @@ class CompilerSession:
     ----------
     budgets:
         Per-target compile budgets in seconds, e.g. ``{"dpqa": 60.0}``.
-        Targets without an entry use their own default budget.
+        Targets without an entry use their own default budget.  Keys
+        may be aliases (``"weaver"`` budgets ``"fpqa"``); an unknown
+        name raises :class:`~repro.exceptions.TargetError`.
     parameters:
         QAOA angles applied to every compilation in the session.
     cache_dir:
@@ -74,10 +77,13 @@ class CompilerSession:
         target_options: dict[str, dict] | None = None,
         profiler: Profiler | None = None,
     ):
-        self.budgets = dict(budgets or {})
+        self.budgets = canonical_target_table(budgets, "budgets")
         self.parameters = parameters
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.target_options = {k: dict(v) for k, v in (target_options or {}).items()}
+        self.target_options = {
+            k: dict(v)
+            for k, v in canonical_target_table(target_options, "target_options").items()
+        }
         self.profiler = profiler if profiler is not None else Profiler()
         #: The session's results, keyed by :attr:`CompileRequest.key`:
         #: an LRU memory tier plus, with ``cache_dir``, the disk tier.

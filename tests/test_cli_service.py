@@ -76,6 +76,12 @@ def test_serve_submit_round_trip(tmp_path, cnf_file):
         assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+        # A SATLIB-style instance name works as it does for `compile`.
+        rc = main(
+            ["submit", "uf20-01", "--socket", str(socket), "-t", "atomique"]
+        )
+        assert rc == 0
+
         rc = main(["submit", "--stats", "--socket", str(socket)])
         assert rc == 0
 

@@ -37,6 +37,12 @@ class TestCompileTarget:
         assert main(["compile", str(cnf_file), "-o", str(out)]) == 0
         assert out.read_text().startswith("OPENQASM 3.0;")
 
+    def test_satlib_instance_name(self, tmp_path, capsys):
+        out = tmp_path / "uf20.wqasm"
+        assert main(["compile", "uf20-01", "-o", str(out)]) == 0
+        assert out.read_text().startswith("OPENQASM 3.0;")
+        assert "compiled uf20-01 for fpqa: 20 qubits" in capsys.readouterr().err
+
     def test_explicit_target_flag(self, cnf_file, capsys):
         assert main(["compile", str(cnf_file), "--target", "superconducting"]) == 0
         captured = capsys.readouterr()

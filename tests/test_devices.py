@@ -378,9 +378,9 @@ class TestEvaluationDeviceAxis:
         )
         store = ResultStore(config)
         rows = store.device_sweep_results("rubidium-nextgen")
-        assert rows[0].compiler == "weaver@rubidium-nextgen"
+        assert (rows[0].target, rows[0].device) == ("fpqa", "rubidium-nextgen")
         assert rows[0].succeeded
-        assert rows[0].extra.get("device") == "rubidium-nextgen"
+        assert rows[0].device_profile["name"] == "rubidium-nextgen"
         # Cached: a second call does not recompile.
         assert store.device_sweep_results("rubidium-nextgen")[0] is rows[0]
 

@@ -7,20 +7,25 @@ who wins on compile time, execution time, and EPS.
 
 import pytest
 
-from repro.baselines import AtomiqueCompiler, WeaverCompiler, run_with_timeout
+import repro
 from repro.checker import WChecker
 from repro.metrics import program_duration_us, program_eps
 from repro.sat import satlib_instance
 
 
 @pytest.fixture(scope="module")
-def uf20_weaver(uf20):
-    return run_with_timeout(WeaverCompiler(), uf20, budget_seconds=120)
+def session():
+    return repro.CompilerSession(budgets={"weaver": 300, "atomique": 120})
 
 
 @pytest.fixture(scope="module")
-def uf20_atomique(uf20):
-    return run_with_timeout(AtomiqueCompiler(), uf20, budget_seconds=120)
+def uf20_weaver(session, uf20):
+    return session.compile(uf20, "weaver")
+
+
+@pytest.fixture(scope="module")
+def uf20_atomique(session, uf20):
+    return session.compile(uf20, "atomique")
 
 
 class TestRq1CompileTime:
@@ -28,10 +33,8 @@ class TestRq1CompileTime:
         assert uf20_weaver.succeeded
         assert uf20_weaver.compile_seconds < 10.0
 
-    def test_weaver_scales_to_uf75(self):
-        result = run_with_timeout(
-            WeaverCompiler(), satlib_instance("uf75-01"), budget_seconds=300
-        )
+    def test_weaver_scales_to_uf75(self, session):
+        result = session.compile(satlib_instance("uf75-01"), "weaver")
         assert result.succeeded
         assert result.compile_seconds < 120.0
 

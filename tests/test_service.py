@@ -198,6 +198,12 @@ class TestArtifactStore:
         assert reborn.get_bytes("deadbeef") == entry
         assert reborn.stats()["hits"] == 1
 
+    def test_put_leaves_no_temp_file(self, tmp_path, tiny_formula):
+        directory = tmp_path / "artifacts"
+        store = ArtifactStore(directory=directory)
+        store.put("k" * 64, self._result(tiny_formula))
+        assert [path.name for path in directory.iterdir()] == ["k" * 64 + ".json"]
+
     def test_corrupt_disk_entry_is_miss_and_purged(self, tmp_path):
         directory = tmp_path / "artifacts"
         directory.mkdir()

@@ -63,6 +63,45 @@ class TestCompileMany:
         assert not result.succeeded
 
 
+class TestTargetTables:
+    """``budgets`` and ``target_options`` entries keyed by an alias apply
+    to the aliased target; a key naming no target is an error."""
+
+    def test_budget_under_alias_applies(self, tiny_formula):
+        session = CompilerSession(budgets={"weaver": 1e-9})
+        assert session.compile(tiny_formula, target="weaver").timed_out
+        assert session.compile(tiny_formula, target="fpqa").timed_out
+
+    def test_target_options_under_alias_apply(self, tiny_formula):
+        plain = CompilerSession().compile(tiny_formula, target="fpqa")
+        session = CompilerSession(
+            target_options={"weaver": {"compression": False}}
+        )
+        off = session.compile(tiny_formula, target="fpqa")
+        assert off.stats["gate-compression"]["use_compression"] is False
+        assert plain.stats["gate-compression"]["use_compression"] is True
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(repro.TargetError, match="pixie"):
+            CompilerSession(budgets={"pixie": 1.0})
+        with pytest.raises(repro.TargetError, match="pixie"):
+            CompilerSession(target_options={"pixie": {}})
+
+    def test_alias_and_name_together_rejected(self):
+        with pytest.raises(repro.TargetError, match="fpqa"):
+            CompilerSession(budgets={"weaver": 1.0, "fpqa": 2.0})
+
+    def test_service_tables_are_canonical(self):
+        from repro.service import CompilationService
+
+        service = CompilationService(
+            shards=1, backend="inline", budgets={"weaver": 1e-9}
+        )
+        assert service.budgets == {"fpqa": 1e-9}
+        with pytest.raises(repro.TargetError, match="pixie"):
+            CompilationService(shards=1, backend="inline", budgets={"pixie": 1.0})
+
+
 class TestProfilerAccounting:
     """Cache/dedup accounting must not depend on the execution path.
 

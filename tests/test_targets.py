@@ -152,29 +152,52 @@ class TestLegacyParity:
             == direct.stats["clause-coloring"]["num_colors"]
         )
 
-    def test_superconducting_matches_legacy_compiler(self, uf20):
-        from repro.baselines import SuperconductingCompiler
-
-        legacy = SuperconductingCompiler().compile_formula(uf20)
-        unified = repro.compile(uf20, target="superconducting")
-        assert unified.eps == pytest.approx(legacy.eps)
-        assert unified.execution_seconds == pytest.approx(legacy.execution_seconds)
-        assert unified.stats["num_swaps"] == legacy.extra["num_swaps"]
-
     def test_nocompress_matches_compression_off(self, tiny_formula):
         direct = repro.FPQACompiler(compression=False).compile(tiny_formula)
         unified = repro.compile(tiny_formula, target="fpqa-nocompress")
         assert unified.program.pulse_counts() == direct.program.pulse_counts()
 
 
+class TestGoldenOutput:
+    """The gate-level targets' results, pinned byte for byte.
+
+    Each digest is the sha256 of ``json.dumps(d, sort_keys=True)`` where
+    ``d`` is ``result.to_dict()`` without the run-dependent
+    ``compile_seconds`` and ``profile``; the values were recorded from
+    the comparison compilers' earlier ``compile_formula`` implementation.
+    """
+
+    GOLDEN = {
+        ("small", "atomique"): "c3a7f9c8d0c240eb5496809a223bd9d810364765e1d55ca52621a8205a34be65",
+        ("small", "geyser"): "5709bb3fde270f97101b79cf6ecc1fe29e4deb87f84165711fcc6ed4213934a7",
+        ("small", "dpqa"): "9c96beac0fab4314d0945f07c445ced96faf4afcb44068b954c13456048d05af",
+        ("small", "superconducting"): "705fe8b6ffdff99ea42d8e06e920ac031b0b282baace8f903c0c1d11a758662b",
+        ("uf20-01", "atomique"): "8e7173f1053d5da4e90263c3fa5cfa91660c084b31d1f379469761ea4693ea2d",
+        ("uf20-01", "dpqa"): "d7ae278e200be6a901de997f56a0c78612f999f064b1b38949a1963babf60eb9",
+    }
+
+    @pytest.mark.parametrize(
+        "workload,target", sorted(GOLDEN), ids=lambda v: str(v)
+    )
+    def test_digest(self, workload, target):
+        import hashlib
+        import json
+
+        from repro.sat import random_ksat
+
+        formula = (
+            random_ksat(6, 10, seed=2, name="small")
+            if workload == "small"
+            else repro.satlib_instance(workload)
+        )
+        payload = repro.compile(formula, target=target).to_dict()
+        del payload["compile_seconds"], payload["profile"]
+        text = json.dumps(payload, sort_keys=True)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.GOLDEN[(workload, target)]
+
+
 class TestDeprecationShims:
-    def test_run_with_timeout_warns(self, tiny_formula):
-        from repro.baselines import AtomiqueCompiler, run_with_timeout
-
-        with pytest.warns(DeprecationWarning, match="run_with_timeout"):
-            result = run_with_timeout(AtomiqueCompiler(), tiny_formula)
-        assert result.succeeded
-
     def test_internal_paths_do_not_warn(self, tiny_formula, recwarn):
         repro.compile(tiny_formula, target="fpqa")
         assert not [
@@ -196,10 +219,3 @@ class TestCompilationResult:
     def test_budget_violation_raises_by_default(self, uf20):
         with pytest.raises(repro.CompilationTimeout):
             repro.compile(uf20, target="fpqa", budget_seconds=1e-9)
-
-    def test_baseline_result_view(self, tiny_formula):
-        result = repro.compile(tiny_formula, target="atomique")
-        row = result.to_baseline_result(compiler="atomique")
-        assert row.compiler == "atomique"
-        assert row.num_vars == tiny_formula.num_vars
-        assert row.succeeded
