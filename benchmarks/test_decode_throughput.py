@@ -3,14 +3,17 @@
 Every disk-cache hit, journal replay, socket reply and ``weaver
 lint/check file.wqasm`` decodes wQasm text, so the front end is a hot
 path.  The gate: on uf100, ``CompilationResult.from_dict(json.loads(...))``
-takes at most **2.0x** a warm ``repro.compile`` of the same formula,
+takes at most **1.0x** a warm ``repro.compile`` of the same formula,
 both measured in the same process as the best of several repeats, so the
 ratio is immune to host speed.
 
-The character-at-a-time lexer and token-list parser this front end
-replaced measured ~4.2x; the regex scanner measures ~1.2-1.5x (2-vCPU VM).
-The bound leaves ~1.3-1.7x of margin over the measured value for shared CI
-hosts, and still fails well before a return to the old ~4x.
+The character-at-a-time lexer and token-list parser measured ~4.2x, and
+the regex scanner alone 1.07-1.78x per attempt (median 1.38x, 16
+attempts).  Decoding each distinct statement text once per call measures
+0.56-1.08x per attempt, median 0.73x (2-vCPU VM, 22 attempts, one above
+1.0).  The bound keeps ~1.4x of margin over that median; the gate takes
+the best of three attempts, so one slow attempt on a shared CI host does
+not fail it, and a return to the scanner alone does.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import repro
 from repro.targets.result import CompilationResult
 
 #: The acceptance bar: decode / warm compile.
-MAX_RATIO = 2.0
+MAX_RATIO = 1.0
 
 REPEATS = 3
 
@@ -36,7 +39,7 @@ def _best_of(func, repeats: int = REPEATS) -> float:
     return best
 
 
-def test_decode_at_most_2x_warm_compile_on_uf100(capsys):
+def test_decode_at_most_1x_warm_compile_on_uf100(capsys):
     formula = repro.satlib_instance("uf100-01")
     result = repro.compile(formula, target="fpqa")
     text = json.dumps(result.to_dict())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..circuits import QuantumCircuit
+from ..circuits import Instruction, QuantumCircuit
 from ..circuits.gates import GATE_ALIASES, Gate, make_gate
 from ..exceptions import QasmSemanticError
 from .ast import (
@@ -94,6 +94,11 @@ def load_circuit(program: Program, name: str = "qasm") -> LoadedProgram:
     Registers are flattened into consecutive integer indices in declaration
     order; broadcast gate calls (``h q;``) expand to one instruction per
     qubit with the annotations attached to the first expansion only.
+
+    Each distinct library call on single qubits is validated once per
+    call: its textual twins (which share their parameter tuple, see
+    :func:`parse_qasm`) append the same frozen :class:`Instruction`.  No
+    call is shared once a ``gate`` definition is in scope.
     """
     qubit_regs: dict[str, tuple[int, int]] = {}
     clbit_regs: dict[str, tuple[int, int]] = {}
@@ -136,6 +141,11 @@ def load_circuit(program: Program, name: str = "qasm") -> LoadedProgram:
         return [offset + index]
 
     macros: dict[str, GateDefinition] = {}
+    # (name, params, operands) -> Instruction.  Equal params are not
+    # enough for a hit (-0.0 == 0.0, 1 == 1.0, and the gate keeps the
+    # values it is given): it needs the very tuple the gate holds, which
+    # textual twins share through the parser's table.
+    lowered: dict[tuple, Instruction] = {}
     for statement in program.statements:
         if isinstance(statement, (QubitDecl, ClbitDecl, IncludeStmt)):
             setup.extend(statement.annotations)
@@ -146,6 +156,13 @@ def load_circuit(program: Program, name: str = "qasm") -> LoadedProgram:
             macros[statement.name] = statement
             continue
         if isinstance(statement, GateCall):
+            key = (statement.name, statement.params, statement.operands)
+            if not macros:
+                instruction = lowered.get(key)
+                if instruction is not None and instruction.gate.params is statement.params:
+                    circuit.instructions.append(instruction)
+                    annotations.append(statement.annotations)
+                    continue
             gate_name = GATE_ALIASES.get(statement.name, statement.name)
             operand_lists = [
                 resolve(qubit_regs, op, "qubit") for op in statement.operands
@@ -175,6 +192,8 @@ def load_circuit(program: Program, name: str = "qasm") -> LoadedProgram:
                 gate = make_gate(gate_name, statement.params, num_qubits=len(qubits))
                 circuit.append(gate, qubits)
                 annotations.append(statement.annotations if rep == 0 else ())
+            if broadcast == 1 and not macros:
+                lowered[key] = circuit.instructions[-1]
             continue
         if isinstance(statement, MeasureStmt):
             qubits = resolve(qubit_regs, statement.qubit, "qubit")

@@ -23,6 +23,11 @@ formal parameters of a ``gate`` body), ``gate`` definitions, ``include``,
 QASM2 registers and measurements, statements with comments inside them,
 and every malformed statement, so errors carry the grammar's message and
 location.  Both paths build the same AST for the same statement.
+
+A canonical statement's pieces are decoded once per call for each
+distinct text: textual twins share one frozen :class:`Annotation`, one
+parameter tuple and one operand tuple, while every statement stays its
+own object (``annotations`` is assigned after construction).
 """
 
 from __future__ import annotations
@@ -106,6 +111,12 @@ class _Parser:
         #: Formal parameter names in scope (inside a gate definition body);
         #: identifiers in this set parse as symbolic expressions.
         self._symbols: set[str] = set()
+        #: Decoded pieces of canonical statements by text.  They hold only
+        #: values the statements keep anyway, so a text seen once costs
+        #: one entry and no extra object for the garbage collector.
+        self._annotation_of: dict[str, Annotation] = {}
+        self._params_of: dict[str, tuple[float, ...]] = {}
+        self._operands_of: dict[str, tuple[Operand, ...]] = {}
 
     # Token helpers -----------------------------------------------------
     def peek(self, ahead: int = 0) -> RawToken:
@@ -141,6 +152,18 @@ class _Parser:
         return token[0] == "symbol" and token[1] == symbol
 
     # Canonical statements ----------------------------------------------
+    def _param_list(self, text: str) -> tuple[float, ...]:
+        params = self._params_of.get(text)
+        if params is None:
+            params = self._params_of[text] = tuple(map(float, text.split(",")))
+        return params
+
+    def _operand_list(self, text: str) -> tuple[Operand, ...]:
+        operands = self._operands_of.get(text)
+        if operands is None:
+            operands = self._operands_of[text] = _operands(text)
+        return operands
+
     def _canonical(self, match: re.Match) -> Statement | None:
         """The statement a :data:`_STATEMENT` match spells, or None when
         the grammar must read it (a keyword in gate-call position)."""
@@ -150,17 +173,19 @@ class _Parser:
             if name not in _KEYWORDS and operands:
                 return GateCall(
                     name=name,
-                    params=tuple(map(float, params.split(","))) if params else (),
-                    operands=_operands(operands),
+                    params=self._param_list(params) if params else (),
+                    operands=self._operand_list(operands),
                 )
             if name == "barrier" and params is None:
-                return BarrierStmt(operands=_operands(operands) if operands else ())
+                return BarrierStmt(operands=self._operand_list(operands) if operands else ())
             return None
         if kind == "measure":
             clbit, qubit = match.group("clbit", "qubit")
             if clbit.partition("[")[0] in _KEYWORDS:
                 return None
-            return MeasureStmt(qubit=_operands(qubit)[0], clbit=_operands(clbit)[0])
+            return MeasureStmt(
+                qubit=self._operand_list(qubit)[0], clbit=self._operand_list(clbit)[0]
+            )
         cls = QubitDecl if match.group("type") == "qubit" else ClbitDecl
         return cls(name=match.group("register"), size=int(match.group("size")))
 
@@ -178,15 +203,19 @@ class _Parser:
         source = self.source
         statements = program.statements
         annotations: list[Annotation] = []
+        annotation_of = self._annotation_of
         pos = self.end
         while True:
             match = _STATEMENT.match(source, pos)
             statement = None
             if match is not None:
                 if match.lastgroup == "annotation":
-                    raw = match.group("annotation").rstrip()
-                    if raw:
-                        annotations.append(_annotation(raw))
+                    raw = match.group("annotation")
+                    annotation = annotation_of.get(raw)
+                    if annotation is None and raw.rstrip():
+                        annotation = annotation_of[raw] = _annotation(raw.rstrip())
+                    if annotation is not None:
+                        annotations.append(annotation)
                         pos = match.end()
                         continue
                 else:

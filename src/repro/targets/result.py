@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..wqasm.program import WQasmProgram
+from ..qasm.loader import qasm_to_circuit
+from ..telemetry.trace import span as _span
+from ..wqasm.program import WQasmProgram, parse_wqasm
 
 #: Schema version stamped into serialized results; bump when the dict
 #: layout changes so stale cache entries are ignored rather than misread.
@@ -122,22 +124,28 @@ class CompilationResult:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CompilationResult":
+        """The result ``payload`` encodes; ``ValueError`` for an artifact
+        of another schema or with program text that is not a string."""
         if payload.get("schema") != RESULT_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported result schema {payload.get('schema')!r}"
             )
-        program = None
         text = payload.get("program_wqasm")
-        if text:
-            from ..wqasm import parse_wqasm
-
-            program = parse_wqasm(text, name=payload["workload"])
-        native_circuit = None
         native_text = payload.get("native_qasm")
-        if native_text:
-            from ..qasm import qasm_to_circuit
-
-            native_circuit = qasm_to_circuit(native_text, name=payload["workload"])
+        for field_name, value in (("program_wqasm", text), ("native_qasm", native_text)):
+            if value is not None and not isinstance(value, str):
+                raise ValueError(
+                    f"artifact field {field_name!r} holds {type(value).__name__}, not text"
+                )
+        with _span("targets.decode"):
+            program = None
+            if text:
+                with _span("wqasm.decode"):
+                    program = parse_wqasm(text, name=payload["workload"])
+            native_circuit = None
+            if native_text:
+                with _span("qasm.decode"):
+                    native_circuit = qasm_to_circuit(native_text, name=payload["workload"])
         return cls(
             target=payload["target"],
             workload=payload["workload"],

@@ -44,6 +44,18 @@ from ..fpqa.instructions import (
 from ..qasm.ast import Annotation
 
 _QUBIT_RE = re.compile(r"^q?(\d+)$")
+_AOD_RE = re.compile(r"^(\[.*?\])\s*(\[.*?\])$")
+_TRANSFER_RE = re.compile(r"^(\d+)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
+#: A Python float literal (no underscores) with an optional minus, which
+#: ``float(text)`` reads as ``ast.literal_eval`` does.
+_FLOAT = r"-?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)"
+_SLM_PAIR = rf"\(({_FLOAT}), ({_FLOAT})\)"
+#: The ``@slm`` payload as :func:`instruction_to_annotation` writes it
+#: (every coordinate a float).  A ``uf100`` program holds ~3000 traps,
+#: which ``ast.literal_eval`` reads ~7x slower than these two scans; any
+#: other payload still goes through it, with its checks and messages.
+_SLM_CANONICAL = re.compile(rf"\[(?:{_SLM_PAIR}(?:, {_SLM_PAIR})*)?\]")
+_SLM_PAIR_RE = re.compile(_SLM_PAIR)
 _N = TypeVar("_N", int, float)
 
 
@@ -85,6 +97,10 @@ def annotation_to_instruction(annotation: Annotation) -> FPQAInstruction:
     keyword = annotation.keyword
     content = annotation.content.strip()
     if keyword == "slm":
+        if _SLM_CANONICAL.fullmatch(content):
+            return SlmInit(
+                tuple([(float(x), float(y)) for x, y in _SLM_PAIR_RE.findall(content)])
+            )
         positions = _literal(content, "@slm")
         if not isinstance(positions, (list, tuple)):
             raise AnnotationError(f"@slm expects a coordinate list, got {content!r}")
@@ -95,7 +111,7 @@ def annotation_to_instruction(annotation: Annotation) -> FPQAInstruction:
             coords.append((_number(item[0], float, "@slm"), _number(item[1], float, "@slm")))
         return SlmInit(tuple(coords))
     if keyword == "aod":
-        match = re.match(r"^(\[.*?\])\s*(\[.*?\])$", content)
+        match = _AOD_RE.match(content)
         if not match:
             raise AnnotationError(f"@aod expects two bracketed lists, got {content!r}")
         xs = _literal(match.group(1), "@aod xs")
@@ -121,7 +137,7 @@ def annotation_to_instruction(annotation: Annotation) -> FPQAInstruction:
             )
         raise AnnotationError(f"malformed @bind payload: {content!r}")
     if keyword == "transfer":
-        match = re.match(r"^(\d+)\s*\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$", content)
+        match = _TRANSFER_RE.match(content)
         if not match:
             raise AnnotationError(f"malformed @transfer payload: {content!r}")
         return Transfer(

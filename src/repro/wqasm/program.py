@@ -147,16 +147,25 @@ def parse_wqasm(source: str, name: str = "wqasm") -> WQasmProgram:
     instruction stream — and therefore the derived schedule, duration,
     and EPS — matches the serialized program exactly.
 
+    Each distinct statement text is decoded once per call: the parser,
+    the loader and the annotation codec each keep a table for the call,
+    and textual twins share the frozen values those tables hold.
+
     A malformed annotation raises :class:`AnnotationError` naming its line.
     """
+    instructions_of: dict[Annotation, FPQAInstruction] = {}
 
     def decode(annotations: Iterable[Annotation]) -> list[FPQAInstruction]:
         instructions = []
         for annotation in annotations:
-            try:
-                instructions.append(annotation_to_instruction(annotation))
-            except AnnotationError as exc:
-                raise AnnotationError(str(exc), annotation_line(source, annotation)) from exc
+            instruction = instructions_of.get(annotation)
+            if instruction is None:
+                try:
+                    instruction = annotation_to_instruction(annotation)
+                except AnnotationError as exc:
+                    raise AnnotationError(str(exc), annotation_line(source, annotation)) from exc
+                instructions_of[annotation] = instruction
+            instructions.append(instruction)
         return instructions
 
     loaded = load_circuit(parse_qasm(source), name=name)

@@ -245,6 +245,31 @@ class TestMalformedNumbers:
         assert excinfo.value.line == 4
         assert str(excinfo.value).endswith("at line 4")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[]",
+            "[(0.0, -0.0), (1e-05, 1.5e+16), (.5, 3.), (1e999, -2.5E3)]",
+            "[(01.5, 00e1), (-0.0, 12345678901234567890.5)]",
+            "[(1, 2), (3.0, 4.0)]",
+            "[(1.0,2.0)]",
+            "[(1.0, 2.0),]",
+            "((1.0, 2.0),)",
+        ],
+    )
+    def test_slm_payload_reads_as_its_python_literal(self, payload):
+        # The written form is scanned by a regex, anything else by
+        # ast.literal_eval; both must give the literal's floats, sign of
+        # zero included.
+        import ast
+
+        from repro.qasm.ast import Annotation
+        from repro.wqasm import annotation_to_instruction
+
+        expected = tuple((float(x), float(y)) for x, y in ast.literal_eval(payload))
+        got = annotation_to_instruction(Annotation("slm", payload)).positions
+        assert repr(got) == repr(expected)
+
     def test_constructor_type_error_is_not_reported_as_bad_payload(self, monkeypatch):
         # Only the payload's own numbers become AnnotationError; a fault in
         # the instruction classes stays a programming error.

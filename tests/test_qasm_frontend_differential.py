@@ -17,7 +17,8 @@ Sources: FPQA wQasm and reference QASM for uf20/uf50 at three (gamma,
 beta) pairs, superconducting QASM output, every QASM-like string literal
 in ``tests/``, every prefix of a program that uses each construct, and
 that program with a stray character, quote or comment opener spliced in
-at every offset.
+at every offset.  A program that repeats every statement kind checks the
+per-call tables that decode each distinct statement text once.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ import pytest
 import repro
 from oracles.lexer import tokenize as oracle_tokenize
 from oracles.parser import parse_qasm as oracle_parse
-from repro.exceptions import QasmSyntaxError, WeaverError
-from repro.qasm import load_circuit, parse_qasm, tokenize
+from repro.exceptions import AnnotationError, QasmSyntaxError, WeaverError
+from repro.qasm import Annotation, load_circuit, parse_qasm, tokenize
+from repro.wqasm import parse_wqasm
 
 TESTS = Path(__file__).resolve().parent
 
@@ -59,6 +61,46 @@ barrier;
 measure q[0] -> c[0];
 c[1] = measure q[1];
 c = measure q;
+"""
+
+#: Every statement kind twice or more, with near twins that differ only
+#: in the sign of a zero or in trailing whitespace, broadcast calls, and
+#: a ``gate`` that redefines ``h`` after repeated library ``h`` calls.
+REPEATED = """\
+OPENQASM 3.0;
+@rydberg
+qubit[2] q;
+@rydberg
+qubit[1] r;
+bit[2] c;
+@raman global 0.5 -1.25 3.0
+u3(0.1, -0.0, 2.0) q[0];
+u3(0.1, 0.0, 2.0) q[0];
+@raman global 0.5 -1.25 3.0\t
+u3(0.1, -0.0, 2.0) q[0];
+u3(0.1, -0.0, 2.0) q[0];
+cz q[0], q[1];
+@rydberg
+cz q[0], q[1];
+cz q[0], r[0];
+cz q[0], r;
+h q[0];
+h q;
+h q;
+h q[0];
+barrier;
+barrier;
+barrier q[0], q[1];
+barrier q[0], q[1];
+c[0] = measure q[0];
+c[0] = measure q[0];
+c = measure q;
+c = measure q;
+gate h a { rz(pi) a; }
+h q[0];
+h q;
+h q[0];
+cz q[0], q[1];
 """
 
 #: Spliced in at every offset of :data:`EVERYTHING` without its string
@@ -199,3 +241,34 @@ def test_splice_at_every_offset(splice):
 )
 def test_malformed_and_unusual_sources(source):
     assert_same_front_end(source)
+
+
+def test_repeated_statements():
+    assert_same_front_end(REPEATED)
+    circuit = load_circuit(parse_qasm(REPEATED)).circuit
+    gates = [(i.name, i.params, i.qubits) for i in circuit.instructions]
+    assert [repr(params) for name, params, _ in gates if name == "u3"] == [
+        "(0.1, -0.0, 2.0)", "(0.1, 0.0, 2.0)", "(0.1, -0.0, 2.0)", "(0.1, -0.0, 2.0)",
+    ]
+    # Library h before the definition, the macro's rz after it.
+    cut = len(gates) - 5
+    assert [name for name, _, _ in gates[:cut] if name in ("h", "rz")] == ["h"] * 6
+    assert [(name, qubits) for name, _, qubits in gates[cut:]] == [
+        ("rz", (0,)), ("rz", (0,)), ("rz", (1,)), ("rz", (0,)), ("cz", (0, 1)),
+    ]
+
+
+def test_textual_twins_are_separate_statements():
+    program = parse_qasm("qubit[1] q;\nh q[0];\nh q[0];\n")
+    first, twin = program.statements[1:]
+    assert first == twin and first is not twin
+    first.annotations = (Annotation("rydberg", ""),)
+    assert twin.annotations == ()
+
+
+def test_repeated_malformed_annotation_reports_its_first_line():
+    bad = "@shuttle row 0 abc\n"
+    source = "OPENQASM 3.0;\nqubit[1] q;\n" + (bad + "h q[0];\n") * 3
+    with pytest.raises(AnnotationError) as excinfo:
+        parse_wqasm(source)
+    assert excinfo.value.line == 3

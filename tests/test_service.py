@@ -214,6 +214,29 @@ class TestArtifactStore:
         # The junk file is gone: later probes cannot keep re-reading it.
         assert not (directory / "bad.json").exists()
 
+    @pytest.mark.parametrize("field", ["program_wqasm", "native_qasm"])
+    @pytest.mark.parametrize("value", [7, ["x"]])
+    def test_wrong_typed_program_text_is_miss_and_purged(
+        self, tmp_path, tiny_formula, field, value
+    ):
+        """Valid JSON whose program text is not a string is a corrupt
+        entry like any other: a miss, purged, and no exception out of
+        a session that reads the same directory."""
+        directory = tmp_path / "artifacts"
+        key = CompileRequest(tiny_formula, target="fpqa").key
+        ArtifactStore(directory=directory).put(key, self._result(tiny_formula))
+        path = directory / (key + ".json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        store = ArtifactStore(directory=directory)
+        assert store.get(key) is None
+        assert store.stats()["misses"] == 1
+        assert not path.exists()
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = repro.CompilerSession(cache_dir=directory).compile(tiny_formula, target="fpqa")
+        assert result.error is None and not result.cached
+
     def test_unparseable_program_is_miss_and_purged(self, tmp_path, tiny_formula):
         """Valid JSON whose ``program_wqasm`` no longer parses decodes to
         a QasmSyntaxError; get() must purge it and count a miss."""

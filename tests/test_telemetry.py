@@ -658,3 +658,24 @@ class TestCheckerSpans:
             "checker.equivalence", "checker.replay",
         ]
         assert _covered_share(root, children) >= 0.95
+
+
+# ----------------------------------------------------------------------
+# Artifact decode spans
+# ----------------------------------------------------------------------
+class TestDecodeSpans:
+    @pytest.mark.parametrize("instance", ["uf20-01", "uf50-01"])
+    def test_wqasm_and_qasm_decode_cover_the_decode(self, instance):
+        import repro
+        from repro.targets.result import CompilationResult
+
+        result = repro.compile(repro.satlib_instance(instance), target="fpqa")
+        payload = json.loads(json.dumps(result.to_dict()))
+        tracer = configure(True)
+        back = CompilationResult.from_dict(payload)
+        spans = tracer.export()
+        assert back.to_dict()["program_wqasm"] == payload["program_wqasm"]
+        (root,) = [s for s in spans if s["name"] == "targets.decode"]
+        children = [s for s in spans if s["parent"] == root["span"]]
+        assert sorted(s["name"] for s in children) == ["qasm.decode", "wqasm.decode"]
+        assert _covered_share(root, children) >= 0.95
