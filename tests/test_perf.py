@@ -39,6 +39,7 @@ from repro.perf import (
     write_bench_file,
 )
 from repro.qaoa import QaoaParameters
+from repro.qasm import circuit_to_qasm
 from repro.sat import to_dimacs
 from repro.sat.generator import random_ksat
 from repro.targets.result import CompilationResult
@@ -144,11 +145,15 @@ class TestCliProfile:
 # Semantics preservation
 # ----------------------------------------------------------------------
 class TestSemanticsPreserved:
-    """The caches must not change the emitted program.
+    """The caches must not change the emitted program or its reference.
 
-    Each digest is the sha256 of ``program.to_wqasm()`` as emitted by the
-    uncached pipeline (every memo and the dense cluster resolver off,
-    closed-form Euler angles on) before that pipeline was deleted.
+    Each ``GOLDEN`` digest is the sha256 of ``program.to_wqasm()`` as
+    emitted by the uncached pipeline (every memo and the dense cluster
+    resolver off, closed-form Euler angles on) before that pipeline was
+    deleted.  Each ``NATIVE_GOLDEN`` digest is the sha256 of
+    ``circuit_to_qasm(result.native_circuit)`` -- the reference QAOA
+    circuit serialized as an artifact's ``native_qasm`` -- as built by
+    the compose-based ``qaoa_circuit`` before its single-pass rewrite.
     """
 
     GOLDEN = {
@@ -156,6 +161,13 @@ class TestSemanticsPreserved:
         "mixed-ladder": "3ea15776f5af2c909ec5f365247f0be691365f877918b2b9eb2f5341d306c093",
         "ksat24-p3": "e21b30d51d921642ca6d2572054f44a2b46cef729c002206b6a44a793dd85aa4",
         "ksat150": "cfec2d5c82829a1f774d994f17bdd0f66c56c4feba950c7110d758c900f14b8a",
+    }
+
+    NATIVE_GOLDEN = {
+        "paper": "d11aadf01cbe03a59b0402a10c07a421fdaf4e61bd25995b713db5fa4b7e7da5",
+        "mixed-ladder": "7a5bf1ed7b376f2de1fa9a7f3d106aae59d2d3b30512a832e5e6ea211e7f2c0e",
+        "ksat24-p3": "e20375bbf9f2051157cc498013d3305977823411e894e5644d27991c030e497c",
+        "ksat150": "b1f1486111eda91707b70350496d71a4240f0df549382ad08b6c78825ed032b2",
     }
 
     @pytest.fixture(scope="class")
@@ -173,18 +185,28 @@ class TestSemanticsPreserved:
     def result(self, formula, parameters):
         return FPQACompiler().compile(formula, parameters)
 
-    @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_emitted_program_matches_golden_digest(
-        self, case, paper_formula, mixed_formula, formula, parameters
-    ):
-        compiler, workload, layers = {
+    @pytest.fixture(scope="class")
+    def compiled(self, paper_formula, mixed_formula, formula, parameters):
+        cases = {
             "paper": (FPQACompiler(), paper_formula, None),
             "mixed-ladder": (FPQACompiler(compression=False), mixed_formula, None),
             "ksat24-p3": (FPQACompiler(), formula, parameters),
             "ksat150": (FPQACompiler(), random_ksat(150, 639, seed=7), None),
-        }[case]
-        text = compiler.compile(workload, layers).program.to_wqasm()
+        }
+        return {
+            case: compiler.compile(workload, layers)
+            for case, (compiler, workload, layers) in cases.items()
+        }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_emitted_program_matches_golden_digest(self, case, compiled):
+        text = compiled[case].program.to_wqasm()
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(NATIVE_GOLDEN))
+    def test_reference_circuit_matches_golden_digest(self, case, compiled):
+        text = circuit_to_qasm(compiled[case].native_circuit)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.NATIVE_GOLDEN[case]
 
     def test_caches_fire(self, result):
         caches = result.profile["caches"]
