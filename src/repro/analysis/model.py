@@ -295,8 +295,8 @@ class AbstractDeviceState:
         # An order violation can only appear at a pair whose left or
         # right member moved, so checking the moved indices' neighbor
         # pairs covers every possible new violation without rescanning
-        # the whole grid per shuttle (the concrete device rescans; the
-        # analyzer's linear-pass budget cannot afford that).
+        # the whole grid per shuttle (the concrete device checks the
+        # same pairs).
         cols, rows = self.aod_col_x, self.aod_row_y
         touched: set[tuple[str, int]] = set()
         for move in moves:

@@ -13,9 +13,11 @@ Hot-path notes: instruction dispatch is a ``type -> handler`` dict (not an
 isinstance chain), and Rydberg cluster resolution uses the same
 spatial-hash neighbor query as the trap spacing check plus dirty tracking
 (consecutive pulses with no movement in between reuse the previous cluster
-set).  The device keeps no instruction log: its callers already hold the
-program they replay or emit.  The dense O(n^2) resolver it
-replaced is kept only as a test oracle (``tests/oracles/device.py``).
+set).  A shuttle checks only the AOD gaps next to the lines it moves.
+The device keeps no instruction log: its callers already hold the
+program they replay or emit.  The dense O(n^2) resolver and the
+full-rescan shuttle check it replaced are kept only as test oracles
+(``tests/oracles/device.py``).
 """
 
 from __future__ import annotations
@@ -289,20 +291,38 @@ class FPQADevice:
     def _shuttle(self, moves: list[ShuttleMove]) -> None:
         new_cols = list(self.aod_col_x)
         new_rows = list(self.aod_row_y)
+        moved_cols: set[int] = set()
+        moved_rows: set[int] = set()
         for move in moves:
-            coords = new_cols if move.axis == "column" else new_rows
+            if move.axis == "column":
+                coords, moved = new_cols, moved_cols
+            else:
+                coords, moved = new_rows, moved_rows
             if not 0 <= move.index < len(coords):
                 raise FPQAConstraintError(
                     f"@shuttle {move.axis} {move.index} out of range"
                 )
             coords[move.index] += move.offset
+            moved.add(move.index)
+        # Every gap held the minimum spacing before this shuttle (the
+        # @aod init checks them all, and so did each accepted shuttle),
+        # so only a gap with a moved end can break it now.  Checking
+        # those in index order, columns first, reports the violation a
+        # rescan of every gap would report first.
         spacing = self.hardware.min_trap_spacing_um
-        for name, coords in (("column", new_cols), ("row", new_rows)):
-            for i, (a, b) in enumerate(zip(coords, coords[1:])):
-                if b - a < spacing - 1e-9:
+        for name, coords, moved in (
+            ("column", new_cols, moved_cols),
+            ("row", new_rows, moved_rows),
+        ):
+            last = len(coords) - 1
+            for i in sorted({left for index in moved for left in (index - 1, index)}):
+                if not 0 <= i < last:
+                    continue
+                gap = coords[i + 1] - coords[i]
+                if gap < spacing - 1e-9:
                     raise FPQAConstraintError(
                         f"@shuttle would bring adjacent {name}s {i} and {i + 1} "
-                        f"within {b - a:.2f} um (minimum {spacing} um); "
+                        f"within {gap:.2f} um (minimum {spacing} um); "
                         "rows/columns may not cross or crowd (Table 1)"
                     )
         self.aod_col_x = new_cols

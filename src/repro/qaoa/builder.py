@@ -8,8 +8,8 @@ from ..circuits import QuantumCircuit
 from ..exceptions import CircuitError
 from ..sat.cnf import CnfFormula
 from ..sat.polynomial import formula_polynomial
-from .cost import cost_circuit
-from .mixer import initialization_circuit, mixer_circuit
+from .cost import append_cost
+from .mixer import append_initialization, append_mixer
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,16 @@ def qaoa_circuit(
     """Full QAOA circuit for ``formula``: init, then per-layer cost+mixer.
 
     One qubit per variable (qubit ``i`` is variable ``i+1``), exactly the
-    encoding of the paper's Figure 1 example.
+    encoding of the paper's Figure 1 example.  Every instruction is
+    emitted once, straight into the returned circuit.
     """
     parameters = parameters or QaoaParameters()
     polynomial = formula_polynomial(formula)
-    circuit = initialization_circuit(formula.num_vars)
-    circuit.name = f"qaoa-{formula.name}"
+    circuit = QuantumCircuit(formula.num_vars, name=f"qaoa-{formula.name}")
+    append_initialization(circuit)
     for gamma, beta in zip(parameters.gammas, parameters.betas):
-        circuit.compose(cost_circuit(polynomial, gamma))
-        circuit.compose(mixer_circuit(formula.num_vars, beta))
+        append_cost(circuit, polynomial, gamma)
+        append_mixer(circuit, beta)
     if measure:
         circuit.measure_all()
     return circuit

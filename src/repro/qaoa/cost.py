@@ -23,13 +23,19 @@ a ``CX . RZ(gamma*s_a*s_b/4) . CX`` ladder between the controls.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..circuits import QuantumCircuit
+from ..circuits import Gate, QuantumCircuit
 from ..exceptions import CircuitError
 from ..linalg import projector_phase_polynomial
 from ..sat.cnf import Clause
 from ..sat.polynomial import IsingPolynomial, clause_polynomial
+
+
+#: The one ``cx`` every cost ladder shares (gates are frozen values).
+_CX = Gate("cx", 2)
 
 
 def monomial_rotation(
@@ -40,24 +46,45 @@ def monomial_rotation(
     Uses the CNOT-ladder construction of Figure 6: entangle down the ladder,
     rotate the last qubit by ``RZ(2 * gamma * coefficient)``, unentangle.
     """
-    if not qubits:
-        return  # constant term: global phase, not compiled
-    angle = 2.0 * gamma * coefficient
+    if qubits:  # the constant term is a global phase, not compiled
+        _append_ladder(circuit, qubits, Gate("rz", 1, (2.0 * gamma * coefficient,)))
+
+
+def _append_ladder(circuit: QuantumCircuit, qubits: tuple[int, ...], rz: Gate) -> None:
+    append = circuit.append
     if len(qubits) == 1:
-        circuit.rz(angle, qubits[0])
+        append(rz, qubits)
         return
-    for ctrl, tgt in zip(qubits, qubits[1:]):
-        circuit.cx(ctrl, tgt)
-    circuit.rz(angle, qubits[-1])
-    for ctrl, tgt in reversed(list(zip(qubits, qubits[1:]))):
-        circuit.cx(ctrl, tgt)
+    pairs = list(zip(qubits, qubits[1:]))
+    for pair in pairs:
+        append(_CX, pair)
+    append(rz, qubits[-1:])
+    for pair in reversed(pairs):
+        append(_CX, pair)
+
+
+def append_cost(circuit: QuantumCircuit, polynomial: IsingPolynomial, gamma: float) -> None:
+    """Append the phase separator ``exp(-i*gamma*H)`` onto ``circuit``.
+
+    The one emission path of :func:`cost_circuit` and
+    :func:`~repro.qaoa.builder.qaoa_circuit`.  Monomials with equal
+    rotation angles share one ``rz`` gate (keyed with the angle's sign,
+    so ``-0.0`` keeps its own).
+    """
+    rotations: dict[tuple[float, float], Gate] = {}
+    for monomial, coefficient in polynomial.terms(min_degree=1):
+        angle = 2.0 * gamma * coefficient
+        key = (angle, math.copysign(1.0, angle))
+        rz = rotations.get(key)
+        if rz is None:
+            rz = rotations[key] = Gate("rz", 1, (angle,))
+        _append_ladder(circuit, monomial, rz)
 
 
 def cost_circuit(polynomial: IsingPolynomial, gamma: float) -> QuantumCircuit:
     """Phase-separator circuit ``exp(-i*gamma*H)`` for a full polynomial."""
     circuit = QuantumCircuit(polynomial.num_vars, name="cost")
-    for monomial, coefficient in polynomial.terms(min_degree=1):
-        monomial_rotation(circuit, monomial, coefficient, gamma)
+    append_cost(circuit, polynomial, gamma)
     return circuit
 
 

@@ -28,6 +28,9 @@ from .cnf import Clause, CnfFormula
 #: A monomial key: sorted tuple of 0-based qubit/variable indices.
 Monomial = tuple[int, ...]
 
+#: Coefficients smaller than this in magnitude are dropped as zero.
+_ZERO = 1e-15
+
 
 @dataclass
 class IsingPolynomial:
@@ -48,7 +51,7 @@ class IsingPolynomial:
         if key and max(key) >= self.num_vars:
             raise SatError(f"monomial {key} out of range for {self.num_vars} vars")
         new = self.coefficients.get(key, 0.0) + coefficient
-        if abs(new) < 1e-15:
+        if abs(new) < _ZERO:
             self.coefficients.pop(key, None)
         else:
             self.coefficients[key] = new
@@ -107,6 +110,14 @@ def clause_polynomial(clause: Clause, num_vars: int) -> IsingPolynomial:
     ``x0*x1*x2`` in Z variables.
     """
     poly = IsingPolynomial(num_vars)
+    for monomial, coefficient in _clause_terms(clause):
+        poly.add_term(monomial, coefficient)
+    return poly
+
+
+def _clause_terms(clause: Clause):
+    """The ``(monomial, coefficient)`` expansion of ``w_C * P_C``, one
+    term per subset of the clause's variables, in expansion order."""
     signs = {abs(lit) - 1: (1.0 if lit > 0 else -1.0) for lit in clause.literals}
     variables = sorted(signs)
     k = len(variables)
@@ -116,8 +127,7 @@ def clause_polynomial(clause: Clause, num_vars: int) -> IsingPolynomial:
             coeff = scale
             for var in subset:
                 coeff *= signs[var]
-            poly.add_term(subset, coeff)
-    return poly
+            yield subset, coeff
 
 
 def formula_polynomial(formula: CnfFormula) -> IsingPolynomial:
@@ -126,7 +136,15 @@ def formula_polynomial(formula: CnfFormula) -> IsingPolynomial:
     ``H`` evaluated at an assignment equals the number of unsatisfied
     clauses, so minimizing ``H`` maximizes satisfied clauses.
     """
+    # Accumulate in place, each clause's terms straight into the sum:
+    # folding ``total + clause_polynomial(...)`` copied the whole sum
+    # once per clause.  The terms arrive in the order that fold added
+    # them, minus those ``clause_polynomial`` drops as zero, so every
+    # coefficient is bit-identical to it.
     total = IsingPolynomial(formula.num_vars)
+    add_term = total.add_term
     for clause in formula.clauses:
-        total = total + clause_polynomial(clause, formula.num_vars)
+        for monomial, coefficient in _clause_terms(clause):
+            if not abs(coefficient) < _ZERO:
+                add_term(monomial, coefficient)
     return total

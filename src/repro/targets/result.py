@@ -36,6 +36,37 @@ def jsonify(value: Any) -> Any:
     return repr(value)
 
 
+_NONE = type(None)
+
+#: The type(s) each decoded artifact field may hold.  A field that
+#: holds anything else makes the artifact corrupt: ``from_dict`` raises
+#: ``ValueError``, so the store purges it and counts a miss.
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "target": (str,),
+    "workload": (str,),
+    "num_qubits": (int,),
+    "num_clauses": (int, _NONE),
+    "device": (str, _NONE),
+    "device_profile": (dict, _NONE),
+    "compile_seconds": (int, float),
+    "execution_seconds": (int, float, _NONE),
+    "eps": (int, float, _NONE),
+    "num_pulses": (int, _NONE),
+    "timed_out": (bool,),
+    "error": (str, _NONE),
+    "stats": (dict,),
+    "profile": (dict, _NONE),
+    "execution": (dict, _NONE),
+    "analysis": (dict, _NONE),
+    "program_wqasm": (str, _NONE),
+    "native_qasm": (str, _NONE),
+}
+
+#: The value of a field an artifact leaves out, where not ``None``
+#: (``stats`` defaults to a fresh dict per result).
+_DEFAULTS: dict[str, Any] = {"compile_seconds": 0.0, "timed_out": False}
+
+
 @dataclass
 class CompilationResult:
     """One compilation of one workload for one target."""
@@ -125,47 +156,41 @@ class CompilationResult:
     @classmethod
     def from_dict(cls, payload: dict) -> "CompilationResult":
         """The result ``payload`` encodes; ``ValueError`` for an artifact
-        of another schema or with program text that is not a string."""
+        of another schema or with a field of the wrong type."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"artifact holds {type(payload).__name__}, not an object")
         if payload.get("schema") != RESULT_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported result schema {payload.get('schema')!r}"
             )
-        text = payload.get("program_wqasm")
-        native_text = payload.get("native_qasm")
-        for field_name, value in (("program_wqasm", text), ("native_qasm", native_text)):
-            if value is not None and not isinstance(value, str):
-                raise ValueError(
-                    f"artifact field {field_name!r} holds {type(value).__name__}, not text"
+        fields = {name: payload.get(name, _DEFAULTS.get(name)) for name in _FIELD_TYPES}
+        fields["stats"] = payload.get("stats", {})
+        for name, types in _FIELD_TYPES.items():
+            value = fields[name]
+            # bool is an int subclass: accept it only where bool is named.
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                expected = " or ".join(
+                    "null" if kind is _NONE else kind.__name__ for kind in types
                 )
+                raise ValueError(
+                    f"artifact field {name!r} holds {type(value).__name__}, "
+                    f"not {expected}"
+                )
+        text = fields.pop("program_wqasm")
+        native_text = fields.pop("native_qasm")
         with _span("targets.decode"):
             program = None
             if text:
                 with _span("wqasm.decode"):
-                    program = parse_wqasm(text, name=payload["workload"])
+                    program = parse_wqasm(text, name=fields["workload"])
             native_circuit = None
             if native_text:
                 with _span("qasm.decode"):
-                    native_circuit = qasm_to_circuit(native_text, name=payload["workload"])
+                    native_circuit = qasm_to_circuit(native_text, name=fields["workload"])
         return cls(
-            target=payload["target"],
-            workload=payload["workload"],
-            num_qubits=payload["num_qubits"],
-            num_clauses=payload.get("num_clauses"),
-            device=payload.get("device"),
-            device_profile=payload.get("device_profile"),
-            compile_seconds=payload.get("compile_seconds", 0.0),
-            execution_seconds=payload.get("execution_seconds"),
-            eps=payload.get("eps"),
-            num_pulses=payload.get("num_pulses"),
-            timed_out=payload.get("timed_out", False),
-            error=payload.get("error"),
-            program=program,
-            native_circuit=native_circuit,
-            stats=payload.get("stats", {}),
-            profile=payload.get("profile"),
-            execution=payload.get("execution"),
-            analysis=payload.get("analysis"),
-            cached=True,
+            **fields, program=program, native_circuit=native_circuit, cached=True
         )
 
     # ------------------------------------------------------------------

@@ -20,4 +20,10 @@ Euler extraction (``test_perf.py::TestClosedFormEuler``) and the naive
 ``2^n x 2^n`` statevector engine (``test_sim.py``).  The timing floors in
 ``benchmarks/test_micro.py`` and ``benchmarks/test_sim_throughput.py``
 race the current code against them in the same run.
+
+``device`` also holds the shuttle check that rescanned every AOD gap
+(``test_fpqa_device.py::TestShuttleDifferential``), and ``polynomial``
+the ``formula_polynomial`` that folded clause polynomials with ``+``
+(``test_sat.py::TestPolynomialDifferential``); both left the reference
+and device replay paths of the FPQA compile.
 """

@@ -1,8 +1,10 @@
 """Tests for the FPQA device state machine and hardware model (Table 1)."""
 
 import math
+import random
 
 import pytest
+from oracles.device import shuttle_full_rescan
 
 from repro.exceptions import FPQAConstraintError
 from repro.fpqa import (
@@ -172,6 +174,80 @@ class TestShuttling:
     def test_bad_axis_rejected(self):
         with pytest.raises(FPQAConstraintError):
             ShuttleMove("diagonal", 0, 1.0)
+
+
+class TestShuttleDifferential:
+    """The device checks only the gaps next to moved AOD lines; the
+    oracle rescans every gap.  On random shuttle sequences both must
+    accept and reject the same move sets, with the same message, and
+    end at the same coordinates."""
+
+    @staticmethod
+    def _random_moves(rng, device, spacing):
+        moves = []
+        picked = set()
+        for _ in range(rng.randint(1, 4)):
+            axis = rng.choice(("column", "row"))
+            coords = device.aod_col_x if axis == "column" else device.aod_row_y
+            # Mostly valid lines, sometimes one past either end.
+            if rng.random() < 0.9:
+                index = rng.randrange(len(coords))
+            else:
+                index = rng.choice((-1, len(coords)))
+            if (axis, index) in picked:
+                continue
+            picked.add((axis, index))
+            neighbour = (
+                coords[index + 1] - coords[index]
+                if 0 <= index < len(coords) - 1
+                else spacing
+            )
+            offset = rng.choice(
+                (
+                    spacing * rng.uniform(-3.0, 3.0),  # free move
+                    neighbour - spacing,  # exactly to the minimum
+                    neighbour - spacing + 1e-3,  # crowds by a hair
+                    neighbour + spacing,  # crosses the neighbour
+                    -neighbour + spacing / 2,  # crowds from the other side
+                    rng.choice((-1.0, 1.0)) * spacing,  # restores spacing
+                )
+            )
+            moves.append(ShuttleMove(axis, index, offset))
+        return moves
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_full_rescan(self, seed, hw):
+        rng = random.Random(seed)
+        spacing = hw.min_trap_spacing_um
+        xs = [0.0]
+        for _ in range(rng.randint(0, 7)):
+            xs.append(xs[-1] + spacing * rng.choice((1.0, 1.5, 3.0)))
+        ys = [0.0]
+        for _ in range(rng.randint(0, 4)):
+            ys.append(ys[-1] + spacing * rng.choice((1.0, 2.0)))
+        device, oracle = FPQADevice(hw), FPQADevice(hw)
+        for dev in (device, oracle):
+            dev.apply(AodInit(tuple(xs), tuple(ys)))
+        rejected = 0
+        for _ in range(60):
+            moves = self._random_moves(rng, device, spacing)
+            if not moves:
+                continue
+            instruction = (
+                Shuttle(moves[0]) if len(moves) == 1 else ParallelShuttle(tuple(moves))
+            )
+            outcomes = []
+            for apply in (device.apply, lambda _: shuttle_full_rescan(oracle, moves)):
+                try:
+                    apply(instruction)
+                    outcomes.append(None)
+                except FPQAConstraintError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            rejected += outcomes[0] is not None
+            assert device.aod_col_x == oracle.aod_col_x
+            assert device.aod_row_y == oracle.aod_row_y
+        assert 0 < rejected < 60
 
 
 class TestRydberg:

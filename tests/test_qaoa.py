@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import QuantumCircuit, circuit_unitary, circuits_equivalent
+from repro.circuits import Instruction, QuantumCircuit, circuit_unitary, circuits_equivalent
 from repro.exceptions import CircuitError
 from repro.linalg import allclose_up_to_global_phase
+from repro.qasm import circuit_to_qasm
 from repro.qaoa import (
     QaoaParameters,
     clause_cost_circuit,
@@ -24,7 +25,13 @@ from repro.qaoa import (
     qaoa_circuit,
     sample_best_assignment,
 )
-from repro.sat import CnfFormula, clause_polynomial, formula_polynomial, random_ksat
+from repro.sat import (
+    CnfFormula,
+    clause_polynomial,
+    formula_polynomial,
+    random_ksat,
+    satlib_instance,
+)
 from repro.sat.cnf import Clause
 
 ALL_SIGN_PATTERNS = list(itertools.product([1, -1], repeat=3))
@@ -150,6 +157,38 @@ class TestQaoaAssembly:
         one = qaoa_circuit(formula, QaoaParameters((0.5,), (0.2,)))
         two = qaoa_circuit(formula, QaoaParameters((0.5, 0.5), (0.2, 0.2)))
         assert len(two) > len(one)
+
+    @pytest.mark.parametrize("gammas", [(0.7, 0.4), (0.0, -0.3)])
+    def test_matches_term_by_term_emission(self, gammas):
+        """The shared-gate emission prints exactly what emitting each cost
+        term alone does; at gamma 0 the ``rz`` angles are zeros of both
+        signs, which must not share one gate."""
+        formula = random_ksat(8, 30, seed=5)
+        params = QaoaParameters(gammas, (0.35, 0.2))
+        expected = initialization_circuit(8)
+        expected.name = f"qaoa-{formula.name}"
+        for gamma, beta in zip(params.gammas, params.betas):
+            for monomial, coefficient in formula_polynomial(formula).terms(min_degree=1):
+                monomial_rotation(expected, monomial, coefficient, gamma)
+            expected.compose(mixer_circuit(8, beta))
+        assert circuit_to_qasm(qaoa_circuit(formula, params)) == circuit_to_qasm(expected)
+
+    def test_reference_build_constructs_each_instruction_once(self, monkeypatch):
+        """The reference circuit is emitted straight into the result: one
+        ``Instruction`` per instruction kept (building the cost and mixer
+        layers apart and composing them made 11,106 for 5,603)."""
+        built = 0
+        post_init = Instruction.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        formula = satlib_instance("uf100-01")
+        monkeypatch.setattr(Instruction, "__post_init__", counting)
+        circuit = qaoa_circuit(formula)
+        assert built == len(circuit) == 5603
 
 
 class TestEnergy:

@@ -1,10 +1,12 @@
 """Unit and property tests for the SAT substrate."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.polynomial import formula_polynomial_fold
 
 from repro.exceptions import SatError
 from repro.sat import (
@@ -209,6 +211,43 @@ class TestPolynomial:
         for bits in itertools.product([False, True], repeat=5):
             expected = 0.0 if clause.is_satisfied(list(bits)) else 1.0
             assert poly.evaluate(list(bits)) == pytest.approx(expected)
+
+
+class TestPolynomialDifferential:
+    """``formula_polynomial`` accumulates in place; the oracle folds
+    ``total + clause_polynomial``.  Both must give the same coefficient
+    dict: the same keys in the same order, each float bit for bit."""
+
+    @staticmethod
+    def _random_formula(rng):
+        num_vars = rng.randint(3, 12)
+        clauses = []
+        for _ in range(rng.randint(1, 40)):
+            size = rng.choice((1, 2, 3, 3))
+            variables = rng.sample(range(1, num_vars + 1), size)
+            literals = [v if rng.random() < 0.5 else -v for v in variables]
+            # 1e-16 puts every term of the clause below the zero threshold.
+            weight = rng.choice((1.0, 1.0, 0.1, 0.3, 2.5, 1e-16, rng.uniform(0.01, 5.0)))
+            clauses.append(Clause(tuple(literals), weight))
+            if rng.random() < 0.3:
+                # A sign-flipped twin cancels its partner's odd terms.
+                clauses.append(Clause(tuple(-lit for lit in literals), weight))
+        rng.shuffle(clauses)
+        return CnfFormula(num_vars, clauses, name="random")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_fold_oracle(self, seed):
+        formula = self._random_formula(random.Random(seed))
+        fast = formula_polynomial(formula).coefficients
+        slow = formula_polynomial_fold(formula).coefficients
+        assert list(fast) == list(slow)
+        assert [c.hex() for c in fast.values()] == [c.hex() for c in slow.values()]
+
+    def test_cancelling_pair_drops_terms_like_the_oracle(self):
+        formula = CnfFormula.from_lists([[1, 2], [-1, -2], [3], [-3]], num_vars=3)
+        fast = formula_polynomial(formula).coefficients
+        assert fast == formula_polynomial_fold(formula).coefficients
+        assert set(fast) == {(), (0, 1)}
 
 
 class TestSolvers:

@@ -237,6 +237,44 @@ class TestArtifactStore:
         result = repro.CompilerSession(cache_dir=directory).compile(tiny_formula, target="fpqa")
         assert result.error is None and not result.cached
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_qubits", "x"),
+            ("num_qubits", True),
+            ("stats", 7),
+            ("timed_out", "yes"),
+            ("device_profile", 5),
+            ("eps", "0.9"),
+            ("error", ["boom"]),
+        ],
+    )
+    def test_wrong_typed_field_is_miss_and_purged(
+        self, tmp_path, tiny_formula, field, value
+    ):
+        """A metadata field of the wrong type is as corrupt as wrong-typed
+        program text: a miss, purged, never a hit serving a bad record."""
+        directory = tmp_path / "artifacts"
+        key = CompileRequest(tiny_formula, target="fpqa").key
+        ArtifactStore(directory=directory).put(key, self._result(tiny_formula))
+        path = directory / (key + ".json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        store = ArtifactStore(directory=directory)
+        assert store.get(key) is None
+        assert store.stats()["misses"] == 1
+        assert not path.exists()
+
+    def test_non_object_entry_is_miss_and_purged(self, tmp_path):
+        directory = tmp_path / "artifacts"
+        directory.mkdir()
+        (directory / "k.json").write_text("[1, 2]", encoding="utf-8")
+        store = ArtifactStore(directory=directory)
+        assert store.get("k") is None
+        assert store.stats()["misses"] == 1
+        assert not (directory / "k.json").exists()
+
     def test_unparseable_program_is_miss_and_purged(self, tmp_path, tiny_formula):
         """Valid JSON whose ``program_wqasm`` no longer parses decodes to
         a QasmSyntaxError; get() must purge it and count a miss."""
