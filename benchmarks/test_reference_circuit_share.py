@@ -8,9 +8,10 @@ uf100-01 compile, that pass takes at most **0.20** of
 from the same compile, so the share is immune to host speed.
 
 Folding clause polynomials with ``+`` and composing separately built
-cost and mixer layers measured a median share of 0.26-0.34 per attempt;
-the single-pass builder measures 0.11-0.13 (2-vCPU VM).  The bound keeps
-~1.6x of margin over that median and fails a return to either waste.
+cost and mixer layers measured a median share of 0.25-0.34 per attempt
+(median 0.27, 8 attempts); the single-pass builder measures 0.11-0.13
+(median 0.12, 9 attempts; 2-vCPU VM).  The bound keeps ~1.6x of margin
+over the single-pass median and sits below every compose-based attempt.
 The gate takes the best of three attempts, so one attempt slowed by a
 shared CI host does not fail it.
 """
