@@ -13,9 +13,10 @@ so the ratios are immune to host speed:
 
 The two layers are not pinned against each other: the checker costs
 ~1-1.5x lint, and what either costs is only meaningful next to the
-compile it verifies.  ``BENCH_lint.json`` records the absolute
-lint/checker numbers per run (regenerate with
-``python -m repro.analysis.bench``).
+compile it verifies.  ``BENCH_lint.json`` keeps the absolute
+lint/checker numbers of earlier runs as frozen history; compile-corpus
+``lint_s`` and ``check_s`` in ``BENCH_perfbench.json`` are the live
+trajectory (``python -m repro.perf.bench``).
 """
 
 from __future__ import annotations

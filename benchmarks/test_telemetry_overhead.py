@@ -8,8 +8,10 @@ uf100 compile — the same workload the lint and compile benchmarks key
 on — by comparing warm end-to-end compile time with tracing disabled
 against tracing enabled.
 
-The committed ``BENCH_telemetry.json`` records the absolute numbers
-(regenerate with ``python -m repro.telemetry.bench``).
+``BENCH_telemetry.json`` keeps the absolute numbers of earlier runs as
+frozen history; the benchmark's compile-corpus ``compile_s`` in
+``BENCH_perfbench.json`` is the live trajectory (``python -m
+repro.perf.bench``).
 """
 
 from __future__ import annotations

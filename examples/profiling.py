@@ -6,9 +6,11 @@ per-primitive counts, cache hit rates — at negligible overhead, so
 
 1. compile a mid-size random 3-SAT instance and print the profile table
    (the same table ``weaver compile --profile`` prints);
-2. read individual counters from ``result.profile`` (a JSON-safe dict);
-3. time a grid of sizes with the bench runner (the run record
-   ``python -m repro.perf.bench`` appends to ``BENCH_compile.json``).
+2. read individual counters from ``result.profile`` (a JSON-safe dict).
+
+End-to-end timings over time are the benchmark's job, not a profile's:
+``python -m repro.perf.bench`` runs perfbench and appends the run to
+``BENCH_perfbench.json``.
 
 Run:  python examples/profiling.py
 """
@@ -19,7 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro
-from repro.perf import format_profile_table, run_compile_bench
+from repro.perf import format_profile_table
 from repro.sat.generator import random_ksat
 
 
@@ -38,13 +40,6 @@ def main() -> None:
     hit_rate = angles["hits"] / (angles["hits"] + angles["misses"])
     print(f"\n{raman['count']} local Raman pulses, "
           f"{hit_rate:.1%} angle-cache hit rate")
-
-    # 3. The bench runner measures a grid of sizes and returns the run
-    #    record it would append to BENCH_compile.json (see
-    #    `python -m repro.perf.bench --help` for the file-writing CLI).
-    run = run_compile_bench(sizes=(20, 40), repeats=1, verbose=False)
-    for cell in run["cells"]:
-        print(f"  n={cell['num_vars']}: {cell['optimized_seconds']:.3f}s")
 
 
 if __name__ == "__main__":

@@ -1,110 +1,105 @@
-"""Compile-time benchmark runner: the repo's performance trajectory.
+"""The benchmark runner: one perfbench run per workload, one trajectory.
 
-Measures end-to-end ``repro.compile`` wall time over a grid of problem
-sizes x targets x devices and appends one run record to
-``BENCH_compile.json``.  Committing the file after meaningful perf work
-gives before/after numbers measured on a known machine: a change is read
-against the previous committed run.
+For every workload ``BENCHMARK.json`` declares, runs the benchmark's own
+``command`` (``perfbench/run.py``) untraced and appends one run record
+to ``BENCH_perfbench.json``.  Committing the file after meaningful perf
+work gives before/after numbers measured on a known machine: a change is
+read against the previous committed run.
 
-Usage::
+Usage (from the root of a checkout)::
 
-    python -m repro.perf.bench                       # default grid
-    python -m repro.perf.bench --sizes 50,150,250 --repeats 3
-    python -m repro.perf.bench --output BENCH_compile.json --label "PR 3"
+    python -m repro.perf.bench                           # seed 1, run_seconds
+    python -m repro.perf.bench --seconds 5 --label "PR 19" -o BENCH_perfbench.json
 
 File format (``schema`` 1)::
 
     {"schema": 1, "runs": [
-        {"timestamp": ..., "label": ..., "machine": {...},
-         "cells": [{"target": "fpqa", "device": null, "num_vars": 150,
-                    "num_clauses": 639, "seed": 7, "repeats": 3,
-                    "optimized_seconds": ..., "reference_seconds": null,
-                    "speedup": null, "num_pulses": ...}, ...]}]}
+        {"timestamp": ..., "label": ...,
+         "cells": [{"workload": "compile-corpus", "seed": 1, "seconds": 20,
+                    "provenance": {...}, "correct": true,
+                    "attempted": ..., "failed": 0,
+                    "metrics": {"compile_s": {"value": ..., "unit": "s"},
+                                ...}}, ...]}]}
 
-``reference_seconds`` and ``speedup`` are always ``null``.  Runs before
-the FPQA compile lost its unoptimized reference pipeline filled them in
-for FPQA cells; the fields stay so every run in a trajectory file shares
-one schema.
+``provenance`` and ``metrics`` are perfbench's own last two output lines,
+so a cell's metric names are the ones ``BENCHMARK.json`` declares.  If
+any workload exits non-zero or reports ``correct: false``, nothing is
+appended and the runner exits 1.  ``BENCH_compile.json``,
+``BENCH_lint.json``, ``BENCH_service.json`` and ``BENCH_telemetry.json``
+are the frozen history of the runners this one replaced; perfbench's
+README maps each of their numbers to a metric here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
+import subprocess
 import sys
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-DEFAULT_SIZES = (50, 100, 150, 250)
-DEFAULT_OUTPUT = "BENCH_compile.json"
+ROOT = Path(__file__).resolve().parents[3]
+DEFAULT_OUTPUT = "BENCH_perfbench.json"
 BENCH_SCHEMA_VERSION = 1
-#: Clause/variable ratio of the hard random 3-SAT regime (SATLIB's 4.26).
-CLAUSE_RATIO = 4.26
 
 
-def _time_compile(build, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of ``build()``."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        build()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_compile_bench(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    targets: tuple[str, ...] = ("fpqa",),
-    devices: tuple[str | None, ...] = (None,),
-    seed: int = 7,
-    repeats: int = 2,
-    verbose: bool = False,
+def bench_cell(
+    workload: str, seed: int, seconds: float, returncode: int, stdout: str
 ) -> dict:
-    """Measure the grid and return one run record (no file I/O)."""
-    import repro
-    from ..sat.generator import random_ksat
+    """The trajectory cell of one perfbench run; ``ValueError`` naming
+    the reason when the run failed or printed no readable result."""
+    lines = stdout.strip().splitlines()
+    try:
+        provenance = json.loads(lines[-2])["provenance"]
+        result = json.loads(lines[-1])
+        cell = {
+            "workload": workload,
+            "seed": seed,
+            "seconds": seconds,
+            "provenance": provenance,
+            **{key: result[key] for key in ("correct", "attempted", "failed", "metrics")},
+        }
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{workload}: no result line (exit {returncode}; {exc!r})"
+        ) from exc
+    if returncode != 0 or cell["correct"] is not True:
+        raise ValueError(
+            f"{workload}: exit {returncode}, correct {cell['correct']}, "
+            f"{cell['failed']} of {cell['attempted']} failed"
+        )
+    return cell
 
-    cells = []
-    for num_vars in sizes:
-        formula = random_ksat(num_vars, round(num_vars * CLAUSE_RATIO), seed=seed)
-        for target in targets:
-            for device in devices:
-                result = repro.compile(formula, target=target, device=device)
-                optimized = _time_compile(
-                    lambda: repro.compile(formula, target=target, device=device),
-                    repeats,
-                )
-                cell = {
-                    "target": target,
-                    "device": device,
-                    "num_vars": num_vars,
-                    "num_clauses": formula.num_clauses,
-                    "seed": seed,
-                    "repeats": repeats,
-                    "optimized_seconds": optimized,
-                    "reference_seconds": None,
-                    "speedup": None,
-                    "num_pulses": result.num_pulses,
-                }
-                cells.append(cell)
-                if verbose:
-                    print(
-                        f"[bench] {target}"
-                        + (f"@{device}" if device else "")
-                        + f" n={num_vars}: {optimized:.3f}s",
-                        file=sys.stderr,
-                    )
-    return {
+
+def append_run(
+    outcomes: list[tuple[str, int, str]],
+    seed: int,
+    seconds: float,
+    label: str | None,
+    output: str | Path,
+) -> int:
+    """Append one run of ``(workload, returncode, stdout)`` outcomes to
+    ``output`` and return 0, or append nothing and return 1."""
+    cells, problems = [], []
+    for workload, returncode, stdout in outcomes:
+        try:
+            cells.append(bench_cell(workload, seed, seconds, returncode, stdout))
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        for problem in problems:
+            print(f"[bench] FAILED {problem}", file=sys.stderr)
+        print(f"[bench] appended nothing to {output}", file=sys.stderr)
+        return 1
+    run = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "machine": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
-        },
+        "label": label,
         "cells": cells,
     }
+    path = write_bench_file(run, output)
+    print(f"[bench] wrote {len(cells)} cells to {path}", file=sys.stderr)
+    return 0
 
 
 def write_bench_file(run: dict, path: str | Path = DEFAULT_OUTPUT) -> Path:
@@ -139,43 +134,46 @@ def write_bench_file(run: dict, path: str | Path = DEFAULT_OUTPUT) -> Path:
     return path
 
 
+def _run_workload(
+    command: list[str], workload: str, seed: int, seconds: float
+) -> tuple[str, int, str]:
+    """Run one untraced perfbench workload; echo its metric table."""
+    print(f"[bench] {workload} (seed {seed}, {seconds} s)", file=sys.stderr)
+    proc = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=False,
+    )
+    # The last two lines are the JSON the cell is built from.
+    sys.stderr.write("".join(proc.stdout.splitlines(keepends=True)[:-2]))
+    return workload, proc.returncode, proc.stdout
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.bench", description=__doc__
+        prog="python -m repro.perf.bench",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--sizes", default=",".join(map(str, DEFAULT_SIZES)),
-        help="comma-separated variable counts (default %(default)s)",
+        "--seconds", type=float, default=None,
+        help="run length per workload (default: BENCHMARK.json run_seconds)",
     )
-    parser.add_argument(
-        "--targets", default="fpqa", help="comma-separated target names"
-    )
-    parser.add_argument(
-        "--devices", default="",
-        help="comma-separated device profiles (empty = target default)",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument("--label", default=None, help="tag for this run")
     parser.add_argument("-o", "--output", default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
 
-    sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-    targets = tuple(t for t in args.targets.split(",") if t)
-    devices = tuple(d for d in args.devices.split(",") if d) or (None,)
-    run = run_compile_bench(
-        sizes=sizes,
-        targets=targets,
-        devices=devices,
-        seed=args.seed,
-        repeats=args.repeats,
-        verbose=True,
-    )
-    if args.label:
-        run["label"] = args.label
-    path = write_bench_file(run, args.output)
-    print(f"[bench] wrote {len(run['cells'])} cells to {path}", file=sys.stderr)
-    return 0
+    spec_path = ROOT / "BENCHMARK.json"
+    if not spec_path.is_file():
+        parser.error(f"no {spec_path}: run from a source checkout")
+    spec = json.loads(spec_path.read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    outcomes = [
+        _run_workload(spec["command"], workload["name"], args.seed, seconds)
+        for workload in spec["workloads"]
+    ]
+    return append_run(outcomes, args.seed, seconds, args.label, args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -156,7 +156,8 @@ class CompilationResult:
     @classmethod
     def from_dict(cls, payload: dict) -> "CompilationResult":
         """The result ``payload`` encodes; ``ValueError`` for an artifact
-        of another schema or with a field of the wrong type."""
+        of another schema, with a field of the wrong type, or with a
+        ``device_profile`` that is no device profile."""
         if not isinstance(payload, dict):
             raise ValueError(f"artifact holds {type(payload).__name__}, not an object")
         if payload.get("schema") != RESULT_SCHEMA_VERSION:
@@ -178,6 +179,16 @@ class CompilationResult:
                     f"artifact field {name!r} holds {type(value).__name__}, "
                     f"not {expected}"
                 )
+        if fields["device_profile"] is not None:
+            # A dict that is no profile would decode and fail later, in
+            # ``simulate``; decoding it here makes it a store miss.
+            from ..devices.profile import DeviceProfile
+            from ..exceptions import DeviceSpecError
+
+            try:
+                DeviceProfile.from_dict(fields["device_profile"])
+            except DeviceSpecError as exc:
+                raise ValueError(f"artifact field 'device_profile': {exc}") from exc
         text = fields.pop("program_wqasm")
         native_text = fields.pop("native_qasm")
         with _span("targets.decode"):

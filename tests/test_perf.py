@@ -9,7 +9,7 @@ Three concerns:
   deleted), its caches fire, and the wChecker accepts the result; and
 * the individual mechanisms: closed-form Euler extraction (against the
   SO(3) oracle), position-key SLM lookup, cluster-cache invalidation, and
-  the bench runner's trajectory file.
+  the bench runner's cells and trajectory file.
 """
 
 from __future__ import annotations
@@ -32,12 +32,8 @@ from repro.fpqa.geometry import position_key
 from repro.fpqa.instructions import BindAtom, SlmInit
 from repro.linalg import allclose_up_to_global_phase
 from repro.passes.woptimizer import FPQACompiler
-from repro.perf import (
-    Profiler,
-    format_profile_table,
-    run_compile_bench,
-    write_bench_file,
-)
+from repro.perf import Profiler, format_profile_table
+from repro.perf.bench import append_run, bench_cell, write_bench_file
 from repro.qaoa import QaoaParameters
 from repro.qasm import circuit_to_qasm
 from repro.sat import to_dimacs
@@ -294,20 +290,67 @@ class TestDeviceFastPaths:
 # ----------------------------------------------------------------------
 # Bench runner
 # ----------------------------------------------------------------------
+#: The last two stdout lines of a perfbench run, abridged.
+PROVENANCE = {"provenance": {"workload": "compile-corpus", "nproc": 2}}
+RESULT = {
+    "correct": True,
+    "attempted": 9,
+    "failed": 0,
+    "metrics": {"compile_s": {"value": 0.14, "unit": "s"}},
+}
+METRIC_LINE = "compile_s                            0.14 s\n"
+
+
+def perfbench_stdout(**result) -> str:
+    return (
+        METRIC_LINE
+        + json.dumps(PROVENANCE) + "\n"
+        + json.dumps({**RESULT, **result}) + "\n"
+    )
+
+
 class TestBenchRunner:
-    def test_writes_and_appends_trajectory(self, tmp_path):
-        run = run_compile_bench(sizes=(8,), repeats=1, seed=3)
-        (cell,) = run["cells"]
-        assert cell["target"] == "fpqa"
-        assert cell["optimized_seconds"] > 0
-        assert cell["reference_seconds"] is None
-        assert cell["speedup"] is None
-        path = tmp_path / "BENCH_compile.json"
-        write_bench_file(run, path)
-        write_bench_file(run, path)
+    def test_two_result_lines_become_one_cell(self):
+        cell = bench_cell("compile-corpus", 3, 20, 0, perfbench_stdout())
+        assert cell == {
+            "workload": "compile-corpus",
+            "seed": 3,
+            "seconds": 20,
+            "provenance": PROVENANCE["provenance"],
+            **RESULT,
+        }
+
+    @pytest.mark.parametrize(
+        "returncode, stdout",
+        [
+            (1, perfbench_stdout(correct=False, failed=1)),
+            (0, perfbench_stdout(correct=False, failed=1)),
+            (1, METRIC_LINE + json.dumps(PROVENANCE) + "\n"),
+            (1, METRIC_LINE + "Traceback (most recent call last):\n"),
+            (1, perfbench_stdout()),
+        ],
+        ids=["correct-false", "correct-false-exit-0", "no-result-line", "crash", "exit-1"],
+    )
+    def test_failed_workload_appends_nothing(self, tmp_path, returncode, stdout):
+        path = tmp_path / "BENCH_perfbench.json"
+        outcomes = [
+            ("compile-corpus", 0, perfbench_stdout()),
+            ("sweep-cache", returncode, stdout),
+        ]
+        assert append_run(outcomes, 1, 20, None, path) == 1
+        assert not path.exists()
+
+    def test_two_appends_give_two_runs(self, tmp_path):
+        path = tmp_path / "BENCH_perfbench.json"
+        outcomes = [("compile-corpus", 0, perfbench_stdout())]
+        assert append_run(outcomes, 1, 20, "first", path) == 0
+        assert append_run(outcomes, 2, 5, None, path) == 0
         payload = json.loads(path.read_text())
         assert payload["schema"] == 1
-        assert len(payload["runs"]) == 2
+        first, second = payload["runs"]
+        assert first["label"] == "first" and second["label"] is None
+        assert [cell["seed"] for cell in (*first["cells"], *second["cells"])] == [1, 2]
+        assert first["cells"][0]["metrics"] == RESULT["metrics"]
 
     def test_corrupt_trajectory_is_preserved_not_crashed(self, tmp_path):
         path = tmp_path / "bench.json"
@@ -325,15 +368,3 @@ class TestBenchRunner:
         payload = json.loads(path.read_text())
         assert len(payload["runs"]) == 1
         assert (tmp_path / "bench.json.bak").exists()
-
-    def test_cli_entrypoint(self, tmp_path):
-        from repro.perf.bench import main as bench_main
-
-        path = tmp_path / "bench.json"
-        rc = bench_main(
-            ["--sizes", "8", "--repeats", "1", "--label", "test", "-o", str(path)]
-        )
-        assert rc == 0
-        payload = json.loads(path.read_text())
-        assert payload["runs"][0]["label"] == "test"
-        assert payload["runs"][0]["cells"][0]["reference_seconds"] is None

@@ -266,6 +266,29 @@ class TestArtifactStore:
         assert store.stats()["misses"] == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize("profile", [{}, {"name": "x"}])
+    def test_malformed_device_profile_is_miss_and_purged(
+        self, tmp_path, tiny_formula, profile
+    ):
+        """A ``device_profile`` object that is no profile would decode as
+        a hit whose ``simulate()`` raises; it must be a purged miss."""
+        directory = tmp_path / "artifacts"
+        key = CompileRequest(
+            tiny_formula, target="fpqa", device="rubidium-baseline"
+        ).key
+        result = repro.compile(tiny_formula, target="fpqa", device="rubidium-baseline")
+        assert result.device_profile is not None
+        ArtifactStore(directory=directory).put(key, result)
+        path = directory / (key + ".json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["device_profile"] = profile
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        store = ArtifactStore(directory=directory)
+        assert store.get(key) is None
+        assert store.stats()["hits"] == 0
+        assert store.stats()["misses"] == 1
+        assert not path.exists()
+
     def test_non_object_entry_is_miss_and_purged(self, tmp_path):
         directory = tmp_path / "artifacts"
         directory.mkdir()
