@@ -9,7 +9,7 @@ read against the previous committed run.
 Usage (from the root of a checkout)::
 
     python -m repro.perf.bench                           # seed 1, run_seconds
-    python -m repro.perf.bench --seconds 5 --label "PR 19" -o BENCH_perfbench.json
+    python -m repro.perf.bench --seconds 5 --label "ci smoke" -o scratch.json
 
 File format (``schema`` 1)::
 
