@@ -88,6 +88,11 @@ class DeviceProfile:
             raise DeviceSpecError(
                 f"device {self.name!r}: max_qubits must be positive"
             )
+        if not isinstance(self.params, dict):
+            raise DeviceSpecError(
+                f"device {self.name!r}: params must be an object, "
+                f"not {type(self.params).__name__}"
+            )
         if self.kind == KIND_FPQA:
             object.__setattr__(self, "params", self._validate_fpqa())
         else:

@@ -1,29 +1,34 @@
-"""The benchmark runner: one perfbench run per workload, one trajectory.
+"""The benchmark runner: two perfbench runs per workload, one trajectory.
 
 For every workload ``BENCHMARK.json`` declares, runs the benchmark's own
-``command`` (``perfbench/run.py``) untraced and appends one run record
+``command`` (``perfbench/run.py``) twice, untraced for the end-to-end
+metrics and traced for the per-layer ones, and appends one run record
 to ``BENCH_perfbench.json``.  Committing the file after meaningful perf
 work gives before/after numbers measured on a known machine: a change is
-read against the previous committed run.
+read against the previous committed run.  Every run uses seed ``SEED``,
+so any two runs in the file measure the same inputs.
 
 Usage (from the root of a checkout)::
 
-    python -m repro.perf.bench                           # seed 1, run_seconds
+    python -m repro.perf.bench                           # run_seconds each
     python -m repro.perf.bench --seconds 5 --label "ci smoke" -o scratch.json
 
 File format (``schema`` 1)::
 
     {"schema": 1, "runs": [
         {"timestamp": ..., "label": ...,
-         "cells": [{"workload": "compile-corpus", "seed": 1, "seconds": 20,
-                    "provenance": {...}, "correct": true,
-                    "attempted": ..., "failed": 0,
+         "cells": [{"provenance": {"workload": "compile-corpus",
+                                   "seed": 1, "seconds": 20.0, ...},
+                    "correct": true, "attempted": ..., "failed": 0,
                     "metrics": {"compile_s": {"value": ..., "unit": "s"},
-                                ...}}, ...]}]}
+                                ...},
+                    "layers": {"latency_s.p90": {...}, ...}}, ...]}]}
 
-``provenance`` and ``metrics`` are perfbench's own last two output lines,
-so a cell's metric names are the ones ``BENCHMARK.json`` declares.  If
-any workload exits non-zero or reports ``correct: false``, nothing is
+``provenance``, ``correct``, ``attempted``, ``failed`` and ``metrics``
+are the untraced run's last two output lines; ``layers`` is the traced
+run's ``metrics``.  So a cell's metric names are the ones
+``BENCHMARK.json`` declares as ``end_to_end`` and ``per_layer``.  If
+any run exits non-zero or reports ``correct: false``, nothing is
 appended and the runner exits 1.  ``BENCH_compile.json``,
 ``BENCH_lint.json``, ``BENCH_service.json`` and ``BENCH_telemetry.json``
 are the frozen history of the runners this one replaced; perfbench's
@@ -42,49 +47,51 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[3]
 DEFAULT_OUTPUT = "BENCH_perfbench.json"
 BENCH_SCHEMA_VERSION = 1
+SEED = 1
+
+#: One perfbench run: its exit code and standard output.
+Run = tuple[int, str]
 
 
-def bench_cell(
-    workload: str, seed: int, seconds: float, returncode: int, stdout: str
-) -> dict:
-    """The trajectory cell of one perfbench run; ``ValueError`` naming
-    the reason when the run failed or printed no readable result."""
+def _read_run(workload: str, mode: str, run: Run) -> tuple[dict, dict]:
+    """The provenance and result lines of one perfbench run;
+    ``ValueError`` naming the reason when the run failed or printed no
+    readable result."""
+    returncode, stdout = run
     lines = stdout.strip().splitlines()
     try:
         provenance = json.loads(lines[-2])["provenance"]
-        result = json.loads(lines[-1])
-        cell = {
-            "workload": workload,
-            "seed": seed,
-            "seconds": seconds,
-            "provenance": provenance,
-            **{key: result[key] for key in ("correct", "attempted", "failed", "metrics")},
-        }
+        line = json.loads(lines[-1])
+        result = {key: line[key] for key in ("correct", "attempted", "failed", "metrics")}
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            f"{workload}: no result line (exit {returncode}; {exc!r})"
+            f"{workload} ({mode}): no result line (exit {returncode}; {exc!r})"
         ) from exc
-    if returncode != 0 or cell["correct"] is not True:
+    if returncode != 0 or result["correct"] is not True:
         raise ValueError(
-            f"{workload}: exit {returncode}, correct {cell['correct']}, "
-            f"{cell['failed']} of {cell['attempted']} failed"
+            f"{workload} ({mode}): exit {returncode}, correct {result['correct']}, "
+            f"{result['failed']} of {result['attempted']} failed"
         )
-    return cell
+    return provenance, result
+
+
+def bench_cell(workload: str, untraced: Run, traced: Run) -> dict:
+    """The trajectory cell of one workload's untraced and traced runs;
+    ``ValueError`` naming the reason when either run failed."""
+    provenance, result = _read_run(workload, "untraced", untraced)
+    layers = _read_run(workload, "traced", traced)[1]["metrics"]
+    return {"provenance": provenance, **result, "layers": layers}
 
 
 def append_run(
-    outcomes: list[tuple[str, int, str]],
-    seed: int,
-    seconds: float,
-    label: str | None,
-    output: str | Path,
+    outcomes: list[tuple[str, Run, Run]], label: str | None, output: str | Path
 ) -> int:
-    """Append one run of ``(workload, returncode, stdout)`` outcomes to
+    """Append one run of ``(workload, untraced, traced)`` outcomes to
     ``output`` and return 0, or append nothing and return 1."""
     cells, problems = [], []
-    for workload, returncode, stdout in outcomes:
+    for workload, untraced, traced in outcomes:
         try:
-            cells.append(bench_cell(workload, seed, seconds, returncode, stdout))
+            cells.append(bench_cell(workload, untraced, traced))
         except ValueError as exc:
             problems.append(str(exc))
     if problems:
@@ -135,18 +142,19 @@ def write_bench_file(run: dict, path: str | Path = DEFAULT_OUTPUT) -> Path:
 
 
 def _run_workload(
-    command: list[str], workload: str, seed: int, seconds: float
-) -> tuple[str, int, str]:
-    """Run one untraced perfbench workload; echo its metric table."""
-    print(f"[bench] {workload} (seed {seed}, {seconds} s)", file=sys.stderr)
+    command: list[str], workload: str, seconds: float, trace: int
+) -> Run:
+    """Run one perfbench workload; echo its metric table."""
+    print(f"[bench] {workload} (seed {SEED}, {seconds} s, trace {trace})",
+          file=sys.stderr)
     proc = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [*command, "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, stdout=subprocess.PIPE, text=True, check=False,
     )
     # The last two lines are the JSON the cell is built from.
     sys.stderr.write("".join(proc.stdout.splitlines(keepends=True)[:-2]))
-    return workload, proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -155,10 +163,9 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--seconds", type=float, default=None,
-        help="run length per workload (default: BENCHMARK.json run_seconds)",
+        help="length of each run (default: BENCHMARK.json run_seconds)",
     )
     parser.add_argument("--label", default=None, help="tag for this run")
     parser.add_argument("-o", "--output", default=DEFAULT_OUTPUT)
@@ -170,10 +177,14 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     outcomes = [
-        _run_workload(spec["command"], workload["name"], args.seed, seconds)
+        (
+            workload["name"],
+            _run_workload(spec["command"], workload["name"], seconds, 0),
+            _run_workload(spec["command"], workload["name"], seconds, 1),
+        )
         for workload in spec["workloads"]
     ]
-    return append_run(outcomes, args.seed, seconds, args.label, args.output)
+    return append_run(outcomes, args.label, args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

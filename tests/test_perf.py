@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,12 +34,14 @@ from repro.fpqa.instructions import BindAtom, SlmInit
 from repro.linalg import allclose_up_to_global_phase
 from repro.passes.woptimizer import FPQACompiler
 from repro.perf import Profiler, format_profile_table
-from repro.perf.bench import append_run, bench_cell, write_bench_file
+from repro.perf.bench import SEED, append_run, bench_cell, write_bench_file
 from repro.qaoa import QaoaParameters
 from repro.qasm import circuit_to_qasm
 from repro.sat import to_dimacs
 from repro.sat.generator import random_ksat
 from repro.targets.result import CompilationResult
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------------
@@ -291,13 +294,14 @@ class TestDeviceFastPaths:
 # Bench runner
 # ----------------------------------------------------------------------
 #: The last two stdout lines of a perfbench run, abridged.
-PROVENANCE = {"provenance": {"workload": "compile-corpus", "nproc": 2}}
+PROVENANCE = {"provenance": {"workload": "compile-corpus", "seed": 1, "nproc": 2}}
 RESULT = {
     "correct": True,
     "attempted": 9,
     "failed": 0,
     "metrics": {"compile_s": {"value": 0.14, "unit": "s"}},
 }
+LAYERS = {"passes.codegen_s": {"value": 0.02, "unit": "s"}}
 METRIC_LINE = "compile_s                            0.14 s\n"
 
 
@@ -309,19 +313,19 @@ def perfbench_stdout(**result) -> str:
     )
 
 
-class TestBenchRunner:
-    def test_two_result_lines_become_one_cell(self):
-        cell = bench_cell("compile-corpus", 3, 20, 0, perfbench_stdout())
-        assert cell == {
-            "workload": "compile-corpus",
-            "seed": 3,
-            "seconds": 20,
-            "provenance": PROVENANCE["provenance"],
-            **RESULT,
-        }
+#: An untraced and a traced run that both succeeded.
+UNTRACED = (0, perfbench_stdout())
+TRACED = (0, perfbench_stdout(attempted=4, metrics=LAYERS))
 
+
+class TestBenchRunner:
+    def test_two_runs_become_one_cell(self):
+        cell = bench_cell("compile-corpus", UNTRACED, TRACED)
+        assert cell == {"provenance": PROVENANCE["provenance"], **RESULT, "layers": LAYERS}
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize(
-        "returncode, stdout",
+        "run",
         [
             (1, perfbench_stdout(correct=False, failed=1)),
             (0, perfbench_stdout(correct=False, failed=1)),
@@ -331,26 +335,25 @@ class TestBenchRunner:
         ],
         ids=["correct-false", "correct-false-exit-0", "no-result-line", "crash", "exit-1"],
     )
-    def test_failed_workload_appends_nothing(self, tmp_path, returncode, stdout):
+    def test_failed_workload_appends_nothing(self, tmp_path, run, traced):
         path = tmp_path / "BENCH_perfbench.json"
-        outcomes = [
-            ("compile-corpus", 0, perfbench_stdout()),
-            ("sweep-cache", returncode, stdout),
-        ]
-        assert append_run(outcomes, 1, 20, None, path) == 1
+        failing = ("sweep-cache", UNTRACED, run) if traced else ("sweep-cache", run, TRACED)
+        outcomes = [("compile-corpus", UNTRACED, TRACED), failing]
+        assert append_run(outcomes, None, path) == 1
         assert not path.exists()
 
     def test_two_appends_give_two_runs(self, tmp_path):
         path = tmp_path / "BENCH_perfbench.json"
-        outcomes = [("compile-corpus", 0, perfbench_stdout())]
-        assert append_run(outcomes, 1, 20, "first", path) == 0
-        assert append_run(outcomes, 2, 5, None, path) == 0
+        outcomes = [("compile-corpus", UNTRACED, TRACED)]
+        assert append_run(outcomes, "first", path) == 0
+        assert append_run(outcomes, None, path) == 0
         payload = json.loads(path.read_text())
         assert payload["schema"] == 1
         first, second = payload["runs"]
         assert first["label"] == "first" and second["label"] is None
-        assert [cell["seed"] for cell in (*first["cells"], *second["cells"])] == [1, 2]
+        assert first["cells"] == second["cells"]
         assert first["cells"][0]["metrics"] == RESULT["metrics"]
+        assert first["cells"][0]["layers"] == LAYERS
 
     def test_corrupt_trajectory_is_preserved_not_crashed(self, tmp_path):
         path = tmp_path / "bench.json"
@@ -368,3 +371,21 @@ class TestBenchRunner:
         payload = json.loads(path.read_text())
         assert len(payload["runs"]) == 1
         assert (tmp_path / "bench.json.bak").exists()
+
+    def test_committed_bench_file_is_valid(self):
+        payload = json.loads((ROOT / "BENCH_perfbench.json").read_text(encoding="utf-8"))
+        assert payload["schema"] == 1
+        assert payload["runs"], "BENCH_perfbench.json has no runs"
+        latest = payload["runs"][-1]
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert [cell["provenance"]["workload"] for cell in latest["cells"]] == [
+            workload["name"] for workload in spec["workloads"]
+        ]
+        end_to_end = {metric["name"] for metric in spec["end_to_end"]}
+        per_layer = {metric["name"] for metric in spec["per_layer"]}
+        for cell in latest["cells"]:
+            workload = cell["provenance"]["workload"]
+            assert cell["provenance"]["seed"] == SEED, workload
+            assert cell["correct"] is True and cell["failed"] == 0, workload
+            assert end_to_end <= set(cell["metrics"]), workload
+            assert per_layer <= set(cell["layers"]), workload

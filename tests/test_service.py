@@ -266,7 +266,9 @@ class TestArtifactStore:
         assert store.stats()["misses"] == 1
         assert not path.exists()
 
-    @pytest.mark.parametrize("profile", [{}, {"name": "x"}])
+    @pytest.mark.parametrize(
+        "profile", [{}, {"name": "x"}, {"name": "x", "kind": "fpqa", "params": []}]
+    )
     def test_malformed_device_profile_is_miss_and_purged(
         self, tmp_path, tiny_formula, profile
     ):
