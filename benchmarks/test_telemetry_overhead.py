@@ -9,9 +9,10 @@ on — by comparing warm end-to-end compile time with tracing disabled
 against tracing enabled.
 
 ``BENCH_telemetry.json`` keeps the absolute numbers of earlier runs as
-frozen history; the benchmark's compile-corpus ``compile_s`` in
-``BENCH_perfbench.json`` is the live trajectory (``python -m
-repro.perf.bench``).
+frozen history.  No trajectory tracks this overhead any more: perfbench
+runs with ``repro.telemetry`` off, and the ``trace.ops_per_s`` in
+``BENCH_perfbench.json`` measures the benchmark's own spans, not this
+layer.
 """
 
 from __future__ import annotations

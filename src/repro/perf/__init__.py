@@ -11,7 +11,8 @@ pieces:
   it via ``weaver compile --profile``.
 * :mod:`repro.perf.bench` — the repo's one benchmark runner,
   ``python -m repro.perf.bench``: it runs every perfbench workload that
-  ``BENCHMARK.json`` declares and appends their metrics to
+  ``BENCHMARK.json`` declares, untraced and traced, and appends their
+  end-to-end and per-layer metrics to
   ``BENCH_perfbench.json`` so the repo keeps a performance trajectory.
   A speedup is read against the previous committed run: the FPQA
   compile has one code path, and the slow algorithms its fast paths
