@@ -65,6 +65,7 @@ from .passes.native_synthesis import nativize_circuit
 from .qaoa import QaoaParameters, qaoa_circuit
 from .sat import parse_dimacs
 from .targets import Workload, compile as compile_workload, target_info
+from .targets.executor import BACKENDS
 from .wqasm import parse_wqasm
 
 
@@ -854,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker shards; jobs route by (target, device) cell",
     )
     p_serve.add_argument(
-        "--backend", choices=("thread", "process", "inline"), default="thread",
+        "--backend", choices=BACKENDS, default="thread",
         help="shard executor: thread (default), process (multi-core), inline",
     )
     p_serve.add_argument(

@@ -33,11 +33,12 @@ def _metric_cell(result, attribute: str):
 
 
 def _fixed_rows(store: ResultStore, attribute: str, compilers) -> list[dict]:
+    columns = {compiler: store.fixed_size_results(compiler) for compiler in compilers}
     rows = []
-    for workload in store.config.fixed_instances:
+    for index, workload in enumerate(store.config.fixed_instances):
         row: dict = {"workload": workload}
         for compiler in compilers:
-            row[compiler] = _metric_cell(store.run(compiler, workload), attribute)
+            row[compiler] = _metric_cell(columns[compiler][index], attribute)
         rows.append(row)
     mean_row: dict = {"workload": "Mean"}
     for compiler in compilers:

@@ -11,10 +11,10 @@ Sharding routes every job by its ``(target, device)`` cell
 (:func:`shard_key`), so one worker repeatedly compiles for the same
 backend and its warm per-process caches — device cost models, Rydberg
 cluster geometry, clause-matrix memos — keep paying off.  Every job
-carries one :class:`~repro.targets.request.CompileRequest` and the
-executor runs :func:`~repro.targets.request.run_request`, so a service
-job and a ``compile_many`` cell are the same unit of work under the same
-content key.
+carries one :class:`~repro.targets.request.CompileRequest`, and each
+shard runs it on its own :class:`~repro.targets.executor.Executor`, the
+executor core ``compile_many`` drives too: a service job and a session
+cell are one unit of work, under one content key, on one code path.
 """
 
 from __future__ import annotations
@@ -23,17 +23,19 @@ import asyncio
 import hashlib
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from typing import Callable, Iterable, Sequence
 
 from ..exceptions import TargetError, WeaverError
 from ..perf import Profiler
 from ..targets.artifacts import ArtifactStore
+from ..targets.executor import Executor
 from ..targets.registry import canonical_target_table
-from ..targets.request import CompileRequest, run_request, traced_run_request
+from ..targets.request import CompileRequest
 from ..targets.result import CompilationResult
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.trace import SpanContext, current_tracer, span_context
+from ..telemetry.trace import SpanContext, current_context, current_tracer, span_context
+from ..telemetry.trace import span as _span
 from .jobs import CompileJob, FairQueue, JobStatus
 from .resilience import (
     ChaosPolicy,
@@ -42,10 +44,6 @@ from .resilience import (
     ServiceOverloaded,
     WorkerCrashed,
 )
-
-#: Executor backends a shard worker may run compilations on.
-BACKENDS = ("thread", "process", "inline")
-
 
 def shard_key(target: str, device: str | None = None) -> str:
     """The cache-affinity key of a (target, device name) cell.
@@ -113,9 +111,10 @@ class CompilationService:
     hang_seconds:
         Grace beyond a job's compile budget before the worker is
         declared hung: the attempt is abandoned, the shard executor
-        restarted, and the job retried.  ``None`` disables the deadline
-        (inline backends block the loop, so it only bites on
-        thread/process backends).
+        restarted (a process worker is killed; a thread cannot be, so
+        a hung thread runs on and its result is dropped), and the job
+        retried.  ``None`` disables the deadline (inline backends block
+        the loop, so it only bites on thread/process backends).
     """
 
     def __init__(
@@ -138,11 +137,6 @@ class CompilationService:
     ):
         if shards < 1:
             raise TargetError("a service needs at least one shard")
-        if backend not in BACKENDS:
-            raise TargetError(
-                f"unknown service backend {backend!r}; expected one of "
-                f"{', '.join(BACKENDS)}"
-            )
         self.shards = shards
         self.backend = backend
         self.profiler = profiler if profiler is not None else Profiler()
@@ -162,7 +156,9 @@ class CompilationService:
             for k, v in canonical_target_table(target_options, "target_options").items()
         }
         self._queues: list[FairQueue] = [FairQueue() for _ in range(shards)]
-        self._executors: list = [None] * shards
+        self._cores = [
+            Executor(backend, name=f"repro-shard-{shard}") for shard in range(shards)
+        ]
         self._workers: list[asyncio.Task] = []
         self._inflight: dict[str, CompileJob] = {}
         self._followers: dict[str, list[CompileJob]] = {}
@@ -232,16 +228,16 @@ class CompilationService:
         for queue in self._queues:
             for job in queue.drain():
                 self._cancel_job(job)
+        # Running jobs are still in flight (their workers were just
+        # cancelled mid-attempt), as are jobs waiting out a retry backoff.
         for key in list(self._inflight):
             job = self._inflight.pop(key)
             for follower in self._followers.pop(key, []):
                 self._cancel_job(follower)
             if not job.future.done():
                 self._cancel_job(job)
-        for index, executor in enumerate(self._executors):
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-                self._executors[index] = None
+        for core in self._cores:
+            core.terminate()
         if self.journal is not None:
             # Cancelled jobs stay *incomplete* in the journal on
             # purpose: a shutdown with queued work is exactly what
@@ -492,28 +488,15 @@ class CompilationService:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _executor_for(self, shard: int):
-        executor = self._executors[shard]
-        if executor is None:
-            if self.backend == "thread":
-                executor = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"repro-shard-{shard}"
-                )
-            else:
-                executor = ProcessPoolExecutor(max_workers=1)
-            self._executors[shard] = executor
-        return executor
-
     def _queue_depth(self) -> int:
         return sum(len(queue) for queue in self._queues)
 
     async def _execute(self, job: CompileJob, shard: int, loop) -> CompilationResult:
-        """Run one job on the shard's executor (traced when enabled).
+        """Run one job on the shard's executor core (traced when enabled).
 
-        With tracing on, the request ships through
-        :func:`traced_run_request` carrying the execute span's context;
-        the worker's spans (the compile span, every pass span, sim
-        phases) come back by value and are ingested here — the stitch
+        With tracing on, the request carries the execute span's context;
+        the core ships the worker's spans (the compile span, every pass
+        span, sim phases) back by value and ingests them — the stitch
         that makes one trace cross the process boundary.
         """
         if self.chaos is not None:
@@ -527,30 +510,10 @@ class CompilationService:
                 raise WorkerCrashed(
                     f"chaos: injected worker crash on shard {shard}"
                 )
-        tracer = current_tracer()
-        if tracer is None or job.span is None:
-            if self.backend == "inline":
-                return run_request(job.request)
-            return await loop.run_in_executor(
-                self._executor_for(shard), run_request, job.request
-            )
-        exec_span = tracer.start(
-            "service.execute",
-            parent=job.span,
-            attributes={"shard": shard, "backend": self.backend},
-        )
-        payload = (span_context(exec_span), job.request)
-        try:
-            if self.backend == "inline":
-                result, worker_spans = traced_run_request(payload)
-            else:
-                result, worker_spans = await loop.run_in_executor(
-                    self._executor_for(shard), traced_run_request, payload
-                )
-        finally:
-            exec_span.finish()
-        tracer.ingest(worker_spans)
-        return result
+        with _span("service.execute", parent=job.span, shard=shard, backend=self.backend):
+            future = self._cores[shard].submit(job.request, current_context())
+            # An inline run is already done: take it without yielding the loop.
+            return future.result() if future.done() else await asyncio.wrap_future(future)
 
     def _deadline_for(self, job: CompileJob) -> float | None:
         """Wall-clock bound on one attempt, or ``None`` (no supervision).
@@ -595,17 +558,8 @@ class CompilationService:
             failure_error = ""
             deadline = self._deadline_for(job)
             try:
-                attempt = self._execute(job, shard, loop)
-                if deadline is not None:
-                    result = await asyncio.wait_for(attempt, deadline)
-                else:
-                    result = await attempt
-            except asyncio.CancelledError:
-                self._inflight.pop(job.key, None)
-                self._cancel_job(job)
-                for follower in self._followers.pop(job.key, []):
-                    self._cancel_job(follower)
-                raise
+                # A ``None`` deadline awaits the attempt unsupervised.
+                result = await asyncio.wait_for(self._execute(job, shard, loop), deadline)
             except asyncio.TimeoutError:
                 # The executor stopped cooperating: abandon the attempt
                 # and recycle the shard so the next job gets a live pool.
@@ -621,8 +575,7 @@ class CompilationService:
                 result = job.request.error_row(f"{type(exc).__name__}: {exc}")
             self._heartbeats[shard] = time.monotonic()
             if failure_kind is not None:
-                if failure_kind in ("crash", "hang"):
-                    self._restart_executor(shard)
+                self._restart_executor(shard)
                 self._handle_transient_failure(job, failure_kind, failure_error)
                 continue
             elapsed = time.perf_counter() - start
@@ -710,13 +663,10 @@ class CompilationService:
     # Supervision: transient failures, retries, dead letters
     # ------------------------------------------------------------------
     def _restart_executor(self, shard: int) -> None:
-        """Recycle a shard's executor after a crash or hang."""
-        executor = self._executors[shard]
-        self._executors[shard] = None
+        """Recycle a shard's executor (killing its worker) after a crash or hang."""
+        self._cores[shard].terminate()
         self._worker_restarts += 1
         self.metrics.inc("service.worker.restarts")
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
 
     def _handle_transient_failure(
         self, job: CompileJob, kind: str, error: str

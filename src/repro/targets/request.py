@@ -35,7 +35,6 @@ from ..exceptions import (
     WorkloadError,
 )
 from ..qaoa.builder import QaoaParameters
-from ..telemetry.trace import Tracer, adopt_context, pop_tracer, push_tracer
 from ..telemetry.trace import span as _span
 from .base import Target
 from .registry import get_target, resolve_target_name
@@ -442,9 +441,10 @@ def execute(
 def run_request(request: CompileRequest) -> CompilationResult:
     """Compile one request into a result row; errors never propagate.
 
-    Module-level so requests pickle cleanly into a process pool: this is
-    the unit of work behind ``CompilerSession.compile_many`` and the
-    :mod:`repro.service` worker shards.
+    The unit of work behind a ``CompilerSession`` cell and a
+    :mod:`repro.service` job alike.  Both run it through the one executor
+    core, :class:`repro.targets.executor.Executor`; it is module-level so
+    requests pickle cleanly into its process workers.
     """
     with _span(f"compile.{request.target}", workload=request.workload.name):
         try:
@@ -453,27 +453,3 @@ def run_request(request: CompileRequest) -> CompilationResult:
             return request.error_row(f"{type(exc).__name__}: {exc}")
         return execute(runner, request, on_error="result")
 
-
-def traced_run_request(
-    payload: tuple[dict | None, CompileRequest],
-) -> tuple[CompilationResult, list[dict]]:
-    """:func:`run_request` under a worker-local tracer.
-
-    ``payload`` is ``(ctx, request)`` where ``ctx`` is the submitting
-    side's span context (:func:`repro.telemetry.current_context`).  The
-    worker — a pool process, an executor thread, or the caller itself —
-    records its spans into a fresh :class:`~repro.telemetry.Tracer`
-    parented on ``ctx`` and ships them back by value for the parent to
-    :meth:`~repro.telemetry.Tracer.ingest`; that is how one trace
-    stitches across process boundaries.  Only dispatched when tracing is
-    enabled; the untraced fan-out calls :func:`run_request` directly.
-    """
-    ctx, request = payload
-    tracer = Tracer()
-    token = push_tracer(tracer)
-    try:
-        with adopt_context(ctx):
-            result = run_request(request)
-    finally:
-        pop_tracer(token)
-    return result, tracer.export()

@@ -5,7 +5,8 @@ into a service-shaped API:
 
 * **batching** — ``compile_many(workloads, targets, parallel=N)`` fans
   the (workload x target) grid across a process pool and returns results
-  in input order;
+  in input order.  Serial or pooled, cells run on the executor core the
+  service shards use too (:class:`~repro.targets.executor.Executor`);
 * **per-target deadlines** — a budget table converts runaway compilers
   (Geyser/DPQA beyond 20 variables, §8.2) into ``timed_out`` rows instead
   of hung workers;
@@ -22,16 +23,17 @@ Errors never propagate out of a session; they become result rows with
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..perf import Profiler
 from ..qaoa.builder import QaoaParameters
-from ..telemetry.trace import current_context, current_tracer, span as _span
+from ..telemetry.trace import current_context, span as _span
 from .artifacts import ArtifactStore
+from .executor import Executor
 from .registry import canonical_target_table
-from .request import CompileRequest, run_request, traced_run_request
+from .request import CompileRequest
 from .result import CompilationResult
 from .workload import coerce_workload
 
@@ -120,14 +122,11 @@ class CompilerSession:
         verifies it with the wLint analyzer.  Both payloads are part of
         the cached row.
         """
-        request = CompileRequest.under(
-            self, workload, target,
-            device=device, options=options, simulate=simulate, analyze=analyze,
+        devices = None if device is None else [device]
+        (result,) = self._compile_many(
+            [workload], target, 1, devices, simulate, analyze, **options
         )
-        hit = self._lookup(request)
-        if hit is not None:
-            return hit
-        return self._keep(request, run_request(request))
+        return result
 
     def compile_many(
         self,
@@ -145,8 +144,9 @@ class CompilerSession:
         ``targets``, and — when ``devices`` is given — every device per
         target; the returned list matches that order exactly regardless
         of ``parallel``.  With ``parallel > 1`` cache misses are fanned
-        across a process pool; hits are served without touching the pool
-        at all.  ``devices`` entries are registered profile names (or
+        across a process pool of at most ``parallel`` workers, one per
+        CPU at most; hits are served without touching the pool at all.
+        ``devices`` entries are registered profile names (or
         profiles); only device-aware targets (fpqa, superconducting)
         accept them — other combinations become error rows, the sweep
         contract.  ``simulate`` additionally executes every successful
@@ -197,50 +197,44 @@ class CompilerSession:
                 submit.append(index)
                 self.profiler.miss("session.dedup")
 
-        if parallel <= 1 or len(submit) == 1:
-            if parallel > 1:
-                # A one-job batch skips the process pool (spinning one up
-                # to run a single request only adds overhead); count the
-                # bypass so the fallback is observable, not silent.
-                self.profiler.add("session.pool_bypass", 0.0)
-            for index in submit:
-                results[index] = self._keep(requests[index], run_request(requests[index]))
-        else:
-            self._fan_out(requests, submit, results, parallel)
+        if parallel > 1 and len(submit) == 1:
+            # A one-job batch skips the process pool (spinning one up
+            # to run a single request only adds overhead); count the
+            # bypass so the fallback is observable, not silent.
+            self.profiler.add("session.pool_bypass", 0.0)
+        backend = "process" if parallel > 1 and len(submit) > 1 else "inline"
+        self._run(requests, submit, results, Executor(backend, min(parallel, len(submit))))
         for index, source in duplicate_of.items():
             results[index] = results[source]
         return results  # type: ignore[return-value]
 
-    def _fan_out(self, requests, submit, results, parallel) -> None:
-        """Run the ``submit`` requests across a process pool.
+    def _run(self, requests, submit, results, core: Executor) -> None:
+        """Run the ``submit`` requests on ``core``, keeping each result row.
 
-        With tracing enabled, requests go through
-        :func:`traced_run_request` so each pool worker's spans come back
-        parented on this batch's ambient span; untraced batches pay
-        nothing.
+        Each row is kept as soon as it exists, so an interrupted batch
+        leaves its finished cells in the store.  Requests carry the
+        batch's trace context, so pool workers' spans come back parented
+        on this batch's span.  A worker that dies (``os._exit``, an OOM
+        kill) breaks the pool and fails every unfinished cell with it;
+        each of those then runs once more alone, in its own one-worker
+        process, so only a cell that kills its own worker stays an
+        error row.
         """
-        tracer = current_tracer()
-        ctx = current_context() if tracer is not None else None
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = {
-                pool.submit(traced_run_request, (ctx, requests[index]))
-                if tracer is not None
-                else pool.submit(run_request, requests[index]): index
-                for index in submit
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    request = requests[futures[future]]
-                    try:
-                        result = future.result()
-                        if tracer is not None:
-                            result, worker_spans = result
-                            tracer.ingest(worker_spans)
-                    except Exception as exc:  # noqa: BLE001 — worker died
-                        result = request.error_row(f"{type(exc).__name__}: {exc}")
-                    results[futures[future]] = self._keep(request, result)
+        died = []
+        with core:
+            batch = [requests[index] for index in submit]
+            for position, future in core.run_all(batch, current_context()):
+                index = submit[position]
+                try:
+                    result = future.result()
+                except Exception as exc:  # noqa: BLE001 — a dead worker, a pickling error
+                    result = requests[index].error_row(f"{type(exc).__name__}: {exc}")
+                    if isinstance(exc, BrokenExecutor):
+                        died.append(index)
+                results[index] = self._keep(requests[index], result)
+        if len(submit) > 1:
+            for index in died:
+                self._run(requests, [index], results, Executor("process"))
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

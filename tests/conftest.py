@@ -6,7 +6,9 @@ deterministic; tests only read them.
 
 from __future__ import annotations
 
+import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,11 @@ if str(SRC) not in sys.path:
 
 from repro.passes import FPQACompiler  # noqa: E402
 from repro.sat import CnfFormula, satlib_instance  # noqa: E402
+from repro.targets import CompilationResult, Target  # noqa: E402
+from repro.targets.registry import _REGISTRY  # noqa: E402
+
+#: The test process; pool workers forked from it see another pid.
+_TEST_PID = os.getpid()
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +70,42 @@ def compiled_mixed(mixed_formula):
 @pytest.fixture(scope="session")
 def compiled_uf20(uf20):
     return FPQACompiler().compile(uf20, measure=True)
+
+
+class FaultyTarget(Target):
+    """A target whose pool worker dies (``fault="exit"``) or hangs (``"hang"``).
+
+    With ``marker`` (a file path), only the first run faults: it writes
+    its worker's pid to ``marker`` first, and later runs, seeing the
+    file, compile normally.  Without it every run faults.  In the test
+    process itself the target raises instead, so an inline run cannot
+    take pytest down.
+    """
+
+    name = "faulty"
+    description = "test-only target that kills or hangs its worker"
+
+    def run(self, workload, parameters, deadline, fault="exit", marker=None):
+        if os.getpid() == _TEST_PID:
+            raise RuntimeError("the faulty target only faults in a pool worker")
+        if marker is None or not os.path.exists(marker):
+            if marker is not None:
+                Path(f"{marker}.tmp").write_text(str(os.getpid()))
+                os.replace(f"{marker}.tmp", marker)
+            if fault == "exit":
+                os._exit(1)
+            time.sleep(30.0)
+        return CompilationResult(
+            target=self.name, workload=workload.name, num_qubits=workload.num_qubits
+        )
+
+
+@pytest.fixture
+def faulty_target(monkeypatch) -> str:
+    """Register :class:`FaultyTarget` for one test; return its name.
+
+    Pool workers fork after registration, so they find it too.
+    """
+    monkeypatch.setitem(_REGISTRY, FaultyTarget.name, FaultyTarget)
+    return FaultyTarget.name
+

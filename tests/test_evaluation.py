@@ -74,6 +74,17 @@ class TestRunner:
         assert result.timed_out
         assert result.compile_seconds > 0
 
+    def test_run_many_keeps_order_across_limit_rows_and_pooled_misses(self):
+        store = ResultStore(EvaluationConfig(compilers=("dpqa",)))
+        names = ["uf75-01", "uf20-01", "uf250-01", "uf20-05"]
+        rows = store.run_many("dpqa", names)
+        assert [r.workload for r in rows] == names
+        assert [r.timed_out for r in rows] == [True, False, True, False]
+        assert all(r.target == "dpqa" for r in rows)
+        assert rows[1].succeeded and rows[3].succeeded
+        # The compiled cells are the session's: single runs hit them.
+        assert store.run("dpqa", "uf20-05") is rows[3]
+
     def test_mean_of_skips_none(self):
         assert mean_of([1.0, None, 3.0]) == 2.0
         assert mean_of([None]) is None

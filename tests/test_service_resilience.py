@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -54,6 +55,15 @@ def _journal_job(journal_id: str) -> SimpleNamespace:
         journal_id=journal_id, request=request, kind=request.kind,
         client="c", priority=0, attempts=1, crashes=0,
     )
+
+
+def _alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (a killed and reaped worker does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 async def _drain(service: CompilationService) -> None:
@@ -390,6 +400,75 @@ class TestSupervision:
                 assert service.metrics.value("service.failures", kind="crash") == 1
 
         asyncio.run(run())
+
+    def test_dead_process_worker_counts_as_crash(self, tmp_path, faulty_target):
+        # A real pool worker dies (os._exit) on the first attempt only.
+        marker = tmp_path / "crashed.pid"
+
+        async def run():
+            async with CompilationService(
+                shards=1,
+                backend="process",
+                retry=RetryPolicy(base_delay=0.001),
+            ) as service:
+                job = await service.submit(
+                    _formula(seed=12), target=faulty_target, marker=str(marker)
+                )
+                result = await job.future
+                assert result.error is None
+                assert job.attempts == 2
+                assert job.crashes == 1
+                assert service.metrics.value("service.failures", kind="crash") == 1
+                assert service.metrics.value("service.retries", kind="crash") == 1
+                assert service.stats()["resilience"]["worker_restarts"] == 1
+
+        asyncio.run(run())
+        assert not _alive(int(marker.read_text()))
+
+    def test_hung_process_worker_is_killed_on_restart(self, tmp_path, faulty_target):
+        marker = tmp_path / "hung.pid"
+
+        async def run():
+            async with CompilationService(
+                shards=1,
+                backend="process",
+                hang_seconds=1.0,
+                retry=RetryPolicy(base_delay=0.001),
+            ) as service:
+                job = await service.submit(
+                    _formula(seed=13), target=faulty_target,
+                    fault="hang", marker=str(marker),
+                )
+                result = await job.future
+                assert result.error is None
+                assert job.attempts == 2
+                assert service.metrics.value("service.failures", kind="hang") == 1
+                # The hung worker was killed and reaped before the retry.
+                assert not _alive(int(marker.read_text()))
+
+        asyncio.run(run())
+
+    def test_stop_kills_a_hung_process_worker(self, tmp_path, faulty_target):
+        marker = tmp_path / "hung.pid"
+
+        async def run():
+            service = CompilationService(shards=1, backend="process")
+            await service.start()
+            job = await service.submit(
+                _formula(seed=14), target=faulty_target,
+                fault="hang", marker=str(marker),
+            )
+            deadline = time.monotonic() + 10.0
+            while not marker.exists() and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            started = time.monotonic()
+            await service.stop()
+            return job, time.monotonic() - started
+
+        job, stop_seconds = asyncio.run(run())
+        assert job.status is JobStatus.CANCELLED
+        assert stop_seconds < 5.0
+        assert not _alive(int(marker.read_text()))
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,23 @@ class TestCompileMany:
         results = session.compile_many([workload, workload], targets="fpqa")
         assert results[0] is results[1]
 
+    def test_dead_worker_fails_only_its_own_cells(self, faulty_target):
+        # Every faulty cell kills its pool worker, which breaks the pool
+        # under the fpqa cells too; those rerun alone and succeed.
+        workloads = _formulas(3)
+        session = CompilerSession()
+        results = session.compile_many(
+            workloads, targets=["fpqa", faulty_target], parallel=2
+        )
+        assert [(r.workload, r.target) for r in results] == [
+            (w.name, t) for w in workloads for t in ("fpqa", faulty_target)
+        ]
+        assert all(r.succeeded for r in results[0::2])
+        assert all("BrokenProcessPool" in r.error for r in results[1::2])
+        # The survivors were stored: a rerun serves them from the cache.
+        again = session.compile_many(workloads, targets="fpqa", parallel=2)
+        assert all(r.cached for r in again)
+
     def test_unknown_target_rejected_before_compiling(self):
         with pytest.raises(repro.UnknownTargetError):
             CompilerSession().compile_many(_formulas(1), targets=["fpqa", "pixie"])

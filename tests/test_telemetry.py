@@ -589,6 +589,36 @@ class TestServiceTelemetry:
         # The recording is a valid Chrome trace.
         assert validate_chrome_trace(chrome_trace(spans)) == len(spans)
 
+    def test_process_backend_job_produces_one_stitched_tree(self):
+        """The worker's spans cross the process boundary into one tree."""
+
+        async def run():
+            async with CompilationService(shards=1, backend="process") as service:
+                job = await service.submit(_formula("forked"), target="fpqa")
+                result = await job
+                assert result.error is None
+                return job
+
+        tracer = configure(True)
+        job = asyncio.run(run())
+        spans = tracer.export()
+        configure(False)
+        by_name = {s["name"]: s for s in spans}
+        for expected in (
+            "service.job.compile", "service.queue.wait", "service.execute",
+            "compile.fpqa", "codegen", "service.artifact.store",
+        ):
+            assert expected in by_name, f"missing span {expected}"
+        root = by_name["service.job.compile"]
+        assert {s["trace"] for s in spans} == {root["trace"]}
+        assert root["attrs"]["status"] == "done"
+        assert by_name["compile.fpqa"]["parent"] == by_name["service.execute"]["span"]
+        # The compile ran in the shard's worker process, not here.
+        assert by_name["compile.fpqa"]["pid"] != os.getpid()
+        assert by_name["service.execute"]["pid"] == os.getpid()
+        assert job.trace_id == root["trace"]
+        assert validate_chrome_trace(chrome_trace(spans)) == len(spans)
+
     def test_trace_id_round_trips_over_the_socket(self, tmp_path):
         """A client span context reaches the server job and echoes back."""
         socket_path = tmp_path / "tel.sock"
