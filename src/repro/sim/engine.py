@@ -1,20 +1,31 @@
 """Dense statevector execution engine.
 
-:class:`StatevectorEngine` is the production engine: the gate-application
-hot loop works on the state reshaped as a rank-``n`` tensor, so a
-``k``-qubit gate costs ``O(2^n)`` vectorized numpy work instead of a
-``2^n x 2^n`` matmul.  Three specializations carry compiled FPQA replays
-(which are almost entirely ``u3`` + ``cz``/``ccz``):
+:class:`StatevectorEngine` works on the state reshaped as a rank-``n``
+tensor, so a ``k``-qubit gate costs ``O(2^n)`` vectorized numpy work
+instead of a ``2^n x 2^n`` matmul.  It never walks an instruction list
+directly: :meth:`StatevectorEngine.plan` compiles the stream once into
+a :class:`Plan`, and :meth:`StatevectorEngine.replay` is the one
+gate-application loop.  A compiled FPQA replay is almost entirely
+``u3`` + ``cz``/``ccz``, so a plan step is one of:
 
-* adjacent single-qubit gates on the same qubit fuse into one 2x2 matrix
-  before touching the state (single-qubit gates commute past anything
-  that does not share their qubit);
-* single-qubit matrices apply through an axis reshape
-  (``(..., 2, 2**q)``) with two fused multiply-adds;
-* diagonal multi-qubit gates (``cz``/``ccz``/``mcz``/``rzz``/``cp``)
-  multiply basis-state slices in place and never build a matrix.
+* a fused single-qubit matrix: adjacent single-qubit gates on the same
+  qubit multiply into one 2x2 matrix (they commute past anything that
+  does not share their qubit).  For a qubit stride of 32 or more the
+  step is one batched matmul over the ``(..., 2, 2**q)`` axis reshape;
+  below that the matrix is stored already expanded over the stride
+  (``kron(m, I)``, at most 32x32) for one tall-skinny matmul;
+* a precomputed basis-state slice for ``cz``/``ccz``/``mcz``, negated
+  in place; other diagonal gates (``rzz``/``cp``) keep a slice per
+  non-unit phase;
+* a dense fallback for any other multi-qubit gate.
 
-The dense ``expand_gate``-then-matmul engine it replaced lives on only
+One plan serves many walks.  The executor builds it once per run with
+a fusion break at every ``(position, qubit)`` where an error trajectory
+inserts a Pauli, then replays it for the ideal state, the shared prefix
+and every branch.  :meth:`~StatevectorEngine.run` and
+:meth:`~StatevectorEngine.apply_segment` build a plan per call.
+
+The dense ``expand_gate``-then-matmul engine this replaced lives on only
 as a test oracle (``tests/oracles/sim.py``), for the differential tests
 and the ``benchmarks/test_sim_throughput.py`` speedup floor.
 """
@@ -22,6 +33,8 @@ and the ``benchmarks/test_sim_throughput.py`` speedup floor.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,9 +48,13 @@ from ..linalg import (
 
 #: Multi-qubit gates whose matrix is diagonal in the computational basis;
 #: they apply as in-place slice phase multiplications.  (Single-qubit
-#: diagonals don't appear here: every 1q gate goes through the fusion
-#: path, which is cheaper still.)
+#: diagonals don't appear here: every 1q gate goes through fusion,
+#: which is cheaper still.)
 DIAGONAL_GATES = frozenset({"cz", "ccz", "mcz", "rzz", "cp"})
+
+#: Diagonal gates whose only non-unit phase is -1 on the all-ones
+#: subspace of their qubits.
+_NEGATED_GATES = frozenset({"cz", "ccz", "mcz"})
 
 #: One insertion into a gate stream: apply ``pauli`` on ``qubit`` just
 #: before the instruction at ``position`` (``position == len`` appends).
@@ -49,11 +66,55 @@ _PAULI_MATRICES = {
     "z": gate_matrix("z"),
 }
 
+# Plan step opcodes: the first field of a ``(op, arg, matrix)`` step.
+_MATMUL = 0    # matrix @ state.reshape(arg); stride >= 32
+_EXPANDED = 1  # state.reshape(arg) @ matrix; matrix is kron(m, I).T
+_NEGATE = 2    # tensor[arg] *= -1, in place
+_PHASES = 3    # tensor[index] *= phase, in place, for (index, phase) in arg
+_DENSE = 4     # apply_gate_to_state(matrix, arg, ...)
+
+#: Identity blocks for the single-qubit strides below 32.
+_EYES = {1 << q: np.eye(1 << q, dtype=complex) for q in range(5)}
+
+#: The ``sim.gates.*`` counters, in plan tally column order.
+_GATE_COUNTERS = ("fused", "one_qubit", "diagonal", "dense")
+
+
+def _scale(block: np.ndarray, factor) -> None:
+    """Multiply a view of the state in place (see the replay loop)."""
+    block *= factor
+
 
 def _instruction_list(circuit) -> list[Instruction]:
     if isinstance(circuit, QuantumCircuit):
         return circuit.instructions
     return list(circuit)
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """An instruction stream compiled for replay.
+
+    ``cut[p]`` is the step where instruction ``p`` begins (``cut[-1]``
+    is ``len(steps)``).  Ranges of steps compose: replaying
+    ``steps[cut[a]:cut[b]]`` then ``steps[cut[b]:cut[c]]`` is replaying
+    ``steps[cut[a]:cut[c]]``, and ``steps`` as a whole applies the
+    stream.  No fused single-qubit run on ``q`` straddles a declared
+    insert ``(p, q, pauli)``, so that Pauli applies exactly at step
+    ``cut[p]``, as the step ``paulis[(q, pauli)]``.  ``tally[i]`` holds
+    the cumulative ``sim.gates.*`` counts of ``steps[:i]``.
+    """
+
+    steps: list[tuple]
+    cut: list[int]
+    inserts: frozenset[PauliInsert]
+    paulis: dict[tuple[int, str], tuple]
+    tally: np.ndarray
+
+    @property
+    def length(self) -> int:
+        """Number of instructions the plan was compiled from."""
+        return len(self.cut) - 1
 
 
 class StatevectorEngine:
@@ -73,6 +134,7 @@ class StatevectorEngine:
         self.num_qubits = num_qubits
         self.dim = 1 << num_qubits
         self.profiler = profiler
+        self._tensor_shape = (2,) * num_qubits
 
     # ------------------------------------------------------------------
     # States
@@ -107,9 +169,6 @@ class StatevectorEngine:
             state, instructions, 0, len(instructions), inserts
         )
 
-    # ------------------------------------------------------------------
-    # The hot loop
-    # ------------------------------------------------------------------
     def apply_segment(
         self,
         state: np.ndarray,
@@ -120,39 +179,59 @@ class StatevectorEngine:
     ) -> np.ndarray:
         """Apply ``instructions[start:stop]`` to ``state`` in place.
 
-        Exposed separately from :meth:`run` so the executor can share a
-        common prefix across many error trajectories: advance one base
-        state once, then branch copies at each trajectory's first error.
-        Returns the state array (same object unless a dense fallback
-        reallocated it).
+        Only the inserts inside the half-open window ``start <= position
+        < stop`` apply, plus ``position == stop`` when ``stop`` is the
+        end of the stream; so splitting a stream into segments applies
+        each insert once.  Returns the state array (same object unless a
+        gate reallocated it).
         """
-        pending: dict[int, np.ndarray] = {}
-        insert_queue = [
-            item for item in sorted(inserts) if start <= item[0] <= stop
+        end = len(instructions)
+        window = [
+            (position - start, qubit, pauli)
+            for position, qubit, pauli in inserts
+            if start <= position < stop or position == stop == end
         ]
-        insert_index = 0
-        counts = {"fused": 0, "one_qubit": 0, "diagonal": 0, "dense": 0}
+        plan = self.plan(instructions[start:stop], window)
+        return self.replay(state, plan, 0, plan.length, window)
 
-        def flush(qubits: Iterable[int] | None = None) -> None:
-            nonlocal state
-            targets = sorted(pending) if qubits is None else [
-                q for q in qubits if q in pending
-            ]
-            for q in targets:
-                state = self._apply_1q(state, pending.pop(q), q)
-                counts["one_qubit"] += 1
+    # ------------------------------------------------------------------
+    # Plan: compile once, replay per walk
+    # ------------------------------------------------------------------
+    def plan(
+        self,
+        instructions: Sequence[Instruction],
+        inserts: Iterable[PauliInsert] = (),
+    ) -> Plan:
+        """Compile ``instructions`` into a :class:`Plan`.
 
-        for index in range(start, stop):
-            while (
-                insert_index < len(insert_queue)
-                and insert_queue[insert_index][0] == index
-            ):
-                _, qubit, pauli = insert_queue[insert_index]
-                flush()
-                state = self._apply_1q(state, _PAULI_MATRICES[pauli], qubit)
-                counts["one_qubit"] += 1
-                insert_index += 1
-            inst = instructions[index]
+        ``inserts`` are the Pauli inserts any replay of the plan may
+        apply: single-qubit fusion on ``qubit`` breaks before the
+        instruction at ``position``.
+        """
+        declared = frozenset(inserts)
+        flush_at: dict[int, list[int]] = {}
+        for position, qubit in sorted({item[:2] for item in declared}):
+            flush_at.setdefault(position, []).append(qubit)
+        paulis = {
+            (qubit, pauli): self._one_qubit_step(_PAULI_MATRICES[pauli], qubit)
+            for _, qubit, pauli in declared
+        }
+        steps: list[tuple] = []
+        rows: list[tuple[int, int, int, int]] = []
+        cut: list[int] = []
+        pending: dict[int, list] = {}  # qubit -> [fused matrix, gates fused]
+
+        def flush(qubits: Iterable[int]) -> None:
+            for q in qubits:
+                held = pending.pop(q, None)
+                if held is not None:
+                    steps.append(self._one_qubit_step(held[0], q))
+                    rows.append((held[1] - 1, 1, 0, 0))
+
+        for index, inst in enumerate(instructions):
+            if index in flush_at:
+                flush(flush_at[index])
+            cut.append(len(steps))
             gate = inst.gate
             if not gate.is_unitary:
                 continue
@@ -162,35 +241,86 @@ class StatevectorEngine:
                 matrix = gate.matrix()
                 held = pending.get(q)
                 if held is not None:
-                    pending[q] = matrix @ held
-                    counts["fused"] += 1
+                    held[0] = matrix @ held[0]
+                    held[1] += 1
                 else:
-                    pending[q] = matrix
+                    pending[q] = [matrix, 1]
                 continue
             flush(qubits)
-            if gate.name in DIAGONAL_GATES:
-                self._apply_diagonal(state, gate, qubits)
-                counts["diagonal"] += 1
+            if gate.name in _NEGATED_GATES:
+                steps.append((_NEGATE, self._slice(qubits, (1,) * len(qubits)), None))
+                rows.append((0, 0, 1, 0))
+            elif gate.name in DIAGONAL_GATES:
+                steps.append((_PHASES, self._phase_slices(gate.matrix(), qubits), None))
+                rows.append((0, 0, 1, 0))
             else:
-                state = apply_gate_to_state(
-                    gate.matrix(), qubits, state, self.num_qubits
+                steps.append((_DENSE, qubits, gate.matrix()))
+                rows.append((0, 0, 0, 1))
+        flush(sorted(pending))
+        cut.append(len(steps))
+        tally = np.zeros((len(steps) + 1, len(_GATE_COUNTERS)), dtype=np.int64)
+        if rows:
+            np.cumsum(rows, axis=0, out=tally[1:])
+        return Plan(steps, cut, declared, paulis, tally)
+
+    def replay(
+        self,
+        state: np.ndarray,
+        plan: Plan,
+        start: int,
+        stop: int,
+        inserts: Sequence[PauliInsert] = (),
+    ) -> np.ndarray:
+        """Apply the plan's instructions ``[start, stop)`` to ``state``.
+
+        Each insert must lie in the half-open window (or at ``stop`` when
+        that is the end of the stream) and be declared by the plan.
+        Returns the state array (same object unless a gate reallocated
+        it).
+        """
+        cut, steps = plan.cut, plan.steps
+        pieces = []
+        at = cut[start]
+        for position, qubit, pauli in sorted(inserts):
+            if not (
+                start <= position < stop or position == stop == plan.length
+            ) or (position, qubit, pauli) not in plan.inserts:
+                raise SimulationError(
+                    f"insert {(position, qubit, pauli)!r} is not declared by "
+                    f"this plan inside [{start}, {stop})"
                 )
-                counts["dense"] += 1
-        while insert_index < len(insert_queue):
-            _, qubit, pauli = insert_queue[insert_index]
-            flush()
-            state = self._apply_1q(state, _PAULI_MATRICES[pauli], qubit)
-            counts["one_qubit"] += 1
-            insert_index += 1
-        flush()
+            pieces.append(steps[at:cut[position]])
+            pieces.append((plan.paulis[(qubit, pauli)],))
+            at = cut[position]
+        pieces.append(steps[at:cut[stop]])
+
+        # The hot loop.  Views of the state go through _scale so that no
+        # local outlives a step: a replaced state array is freed at once
+        # and the next single-qubit step reuses its buffer.
+        dim, shape = self.dim, self._tensor_shape
+        for op, arg, matrix in chain.from_iterable(pieces):
+            if op == _MATMUL:
+                state = np.matmul(matrix, state.reshape(arg)).reshape(dim)
+            elif op == _EXPANDED:
+                state = (state.reshape(arg) @ matrix).reshape(dim)
+            elif op == _NEGATE:
+                _scale(state.reshape(shape)[arg], -1.0)
+            elif op == _PHASES:
+                for index, phase in arg:
+                    _scale(state.reshape(shape)[index], phase)
+            else:
+                state = apply_gate_to_state(matrix, arg, state, self.num_qubits)
+
         if self.profiler is not None:
-            for kind, count in counts.items():
+            counts = (plan.tally[cut[stop]] - plan.tally[cut[start]]).tolist()
+            counts[1] += len(inserts)
+            for kind, count in zip(_GATE_COUNTERS, counts):
                 if count:
                     self.profiler.add(f"sim.gates.{kind}", 0.0, count=count)
         return state
 
-    def _apply_1q(self, state: np.ndarray, matrix: np.ndarray, q: int) -> np.ndarray:
-        """Apply a 2x2 matrix on qubit ``q`` via an axis reshape.
+    def _one_qubit_step(self, matrix: np.ndarray, q: int) -> tuple:
+        """A 2x2 matrix on qubit ``q`` as a plan step.
 
         Little-endian layout: bit ``q`` of a basis index has stride
         ``2**q``, so reshaping to ``(-1, 2, 2**q)`` isolates it on the
@@ -203,34 +333,37 @@ class StatevectorEngine:
         """
         length = 1 << q
         if length >= 32:
-            return np.matmul(
-                matrix, state.reshape(-1, 2, length)
-            ).reshape(self.dim)
-        expanded = np.kron(matrix, np.eye(length, dtype=complex))
-        return (state.reshape(-1, 2 * length) @ expanded.T).reshape(self.dim)
+            return (_MATMUL, (-1, 2, length), matrix)
+        # np.kron(matrix, eye) by the same broadcast product, without
+        # kron's generic shape handling (a plan builds hundreds).
+        eye = _EYES[length]
+        expanded = (matrix[:, None, :, None] * eye[None, :, None, :]).reshape(
+            2 * length, 2 * length
+        )
+        return (_EXPANDED, (-1, 2 * length), expanded.T)
 
-    def _apply_diagonal(self, state: np.ndarray, gate, qubits) -> None:
-        """Multiply a diagonal gate's phases onto basis-state slices."""
+    def _slice(self, qubits: Sequence[int], bits: Sequence[int]) -> tuple:
+        """The tensor index fixing each of ``qubits`` to its ``bits``.
+
+        The trailing ``...`` keeps the result a view even when every
+        axis is fixed, so it can be written in place.
+        """
         n = self.num_qubits
-        tensor = state.reshape((2,) * n)
-        if gate.name in ("cz", "ccz", "mcz"):
-            # Single -1 phase on the all-ones subspace of ``qubits``.
-            index = [slice(None)] * n
-            for q in qubits:
-                index[n - 1 - q] = 1
-            tensor[tuple(index)] *= -1.0
-            return
-        diag = np.diagonal(gate.matrix())
+        index: list = [slice(None)] * n
+        for q, bit in zip(qubits, bits):
+            index[n - 1 - q] = bit
+        return (*index, ...)
+
+    def _phase_slices(self, matrix: np.ndarray, qubits: Sequence[int]) -> tuple:
+        """``(index, phase)`` for every non-unit phase of a diagonal gate."""
+        diag = np.diagonal(matrix)
         k = len(qubits)
-        for b in range(1 << k):
-            phase = diag[b]
-            if phase == 1.0:
-                continue
-            index = [slice(None)] * n
-            for j, q in enumerate(qubits):
-                # Gate-local big-endian: qubits[0] is the MSB of ``b``.
-                index[n - 1 - q] = (b >> (k - 1 - j)) & 1
-            tensor[tuple(index)] *= phase
+        return tuple(
+            # Gate-local big-endian: qubits[0] is the MSB of ``b``.
+            (self._slice(qubits, [(b >> (k - 1 - j)) & 1 for j in range(k)]), diag[b])
+            for b in range(1 << k)
+            if diag[b] != 1.0
+        )
 
     # ------------------------------------------------------------------
     # Measurement

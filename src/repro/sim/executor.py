@@ -13,21 +13,33 @@ is an exact Monte-Carlo estimator of the analytic model, regardless of
 anything below).  For *outcomes*:
 
 * shots with no quantum error sample from the ideal distribution
-  (one statevector run for all of them);
+  (one statevector walk for all of them);
 * the most frequent error signatures — up to ``max_trajectories`` of
-  them — are replayed *exactly*: the sampled Paulis are inserted into
-  the gate stream and the corrupted state is simulated, sharing the
-  common prefix across trajectories so the base circuit is walked only
-  once;
+  them — are replayed *exactly*, with the sampled Paulis inserted into
+  the gate stream.  They run in first-error order from one shared
+  prefix state: the prefix advances to a signature's first error, and
+  a copy of it runs the rest of the stream with that signature's
+  inserts.  At most three states are live: ideal, prefix and branch;
 * the long tail of rare multi-error signatures falls back to a
   measurement-frame depolarizing approximation: the shot samples an
   ideal outcome and the error-touched qubits' bits are replaced by fair
   coin flips.  On small programs (every test below ~10 qubits) the cap
   is never reached and all trajectories are exact.
 
+The gate stream is compiled once per run into one
+:class:`~repro.sim.engine.Plan`, after the signatures are drawn, with a
+fusion break at every exact signature's ``(position, qubit)``.  The
+ideal walk, the prefix walk and every branch replay that same plan;
+none of them re-reads the instruction list.
+
 Readout errors are classical bit flips applied to every shot exactly.
 All randomness flows from one ``numpy.random.Generator``, in a fixed
 draw order, so a given seed is bit-identical across runs and machines.
+
+Under ``sim.run`` the phases are spans that tile it: ``sim.events``
+(event draws and signatures), ``sim.ideal`` (plan build, ideal walk
+and clean-shot draws), one ``sim.trajectory`` per exact branch, and
+``sim.sample`` (tail, readout flips, aggregation and scoring).
 """
 
 from __future__ import annotations
@@ -114,7 +126,8 @@ def simulate_result(
     MAX-SAT quality metrics (energy, approximation ratio); pass the
     workload's CNF formula when you have it.
     """
-    schedule = schedule_for_result(result)
+    with _span("sim.schedule", workload=result.workload, target=result.target):
+        schedule = schedule_for_result(result)
     return run_schedule(
         schedule,
         shots=shots,
@@ -184,7 +197,7 @@ def run_schedule(
         raise SimulationError(f"shots must be positive, got {shots}")
     if max_trajectories < 0:
         raise SimulationError("max_trajectories must be non-negative")
-    # The span (phases nest via the profiler's pass hook) and the global
+    # The spans (the run's phases nest under this one) and the global
     # shots/sec metric observe wall time, which must never reach the
     # execution payload itself — see _deterministic_profile.
     wall_started = time.perf_counter()
@@ -215,166 +228,174 @@ def _run_schedule(
     target: str | None,
     device: str | None,
 ) -> ExecutionResult:
-    rng = as_generator(seed)
-    profiler = profiler if profiler is not None else Profiler()
-    model = resolve_noise(noise, schedule.events)
-    engine = StatevectorEngine(schedule.num_qubits, profiler)
-    instructions = schedule.instructions
-    n = schedule.num_qubits
-    started = time.perf_counter()
+    with _span("sim.events"):
+        rng = as_generator(seed)
+        profiler = profiler if profiler is not None else Profiler()
+        model = resolve_noise(noise, schedule.events)
+        engine = StatevectorEngine(schedule.num_qubits, profiler)
+        instructions = schedule.instructions
+        n = schedule.num_qubits
 
-    # --- 1. sample error events per shot (exact Monte Carlo) ----------
-    events = model.events if model is not None else ()
-    if events:
-        probabilities = model.probabilities()
-        fired = rng.random((shots, len(events))) < probabilities[None, :]
-        error_free = int((~fired.any(axis=1)).sum())
-        profiler.add("sim.events_fired", 0.0, count=int(fired.sum()))
-    else:
-        fired = None
-        error_free = shots
-
-    # --- 2. realize Pauli trajectories deterministically --------------
-    pauli_columns = [j for j, e in enumerate(events) if e.kind == KIND_PAULI]
-    readout_columns = [
-        (j, e) for j, e in enumerate(events) if e.kind == KIND_READOUT
-    ]
-    trajectories: dict[int, list] = {}
-    if fired is not None and pauli_columns:
-        sub = fired[:, pauli_columns]
-        for shot, column in np.argwhere(sub):  # row-major: fixed draw order
-            event = events[pauli_columns[column]]
-            qubit = int(event.qubits[int(rng.integers(len(event.qubits)))])
-            pauli = event.paulis[int(rng.integers(len(event.paulis)))]
-            position = (
-                event.position
-                if event.position is not None
-                else int(rng.integers(len(instructions) + 1))
-            )
-            trajectories.setdefault(int(shot), []).append((position, qubit, pauli))
-
-    buckets: dict[tuple, list[int]] = {}
-    clean_shots: list[int] = []
-    for shot in range(shots):
-        errors = trajectories.get(shot)
-        if errors:
-            buckets.setdefault(tuple(sorted(errors)), []).append(shot)
+        # --- 1. sample error events per shot (exact Monte Carlo) ------
+        events = model.events if model is not None else ()
+        if events:
+            probabilities = model.probabilities()
+            fired = rng.random((shots, len(events))) < probabilities[None, :]
+            error_free = int((~fired.any(axis=1)).sum())
+            profiler.add("sim.events_fired", 0.0, count=int(fired.sum()))
         else:
-            clean_shots.append(shot)
+            fired = None
+            error_free = shots
 
-    # --- 3. ideal run --------------------------------------------------
-    t_ideal = time.perf_counter()
-    ideal_state = engine.run(instructions)
-    profiler.add_pass("sim.ideal", time.perf_counter() - t_ideal)
-    ideal_probs = engine.probabilities(ideal_state)
+        # --- 2. realize Pauli trajectories deterministically ----------
+        pauli_columns = [j for j, e in enumerate(events) if e.kind == KIND_PAULI]
+        readout_columns = [
+            (j, e) for j, e in enumerate(events) if e.kind == KIND_READOUT
+        ]
+        trajectories: dict[int, list] = {}
+        if fired is not None and pauli_columns:
+            # Row-major: fixed draw order.  The column subset is not kept,
+            # so it is not alive while the states are.
+            for shot, column in np.argwhere(fired[:, pauli_columns]):
+                event = events[pauli_columns[column]]
+                qubit = int(event.qubits[int(rng.integers(len(event.qubits)))])
+                pauli = event.paulis[int(rng.integers(len(event.paulis)))]
+                position = (
+                    event.position
+                    if event.position is not None
+                    else int(rng.integers(len(instructions) + 1))
+                )
+                trajectories.setdefault(int(shot), []).append((position, qubit, pauli))
 
-    basis = np.empty(shots, dtype=np.int64)
-    if clean_shots:
-        basis[clean_shots] = rng.choice(
-            engine.dim, size=len(clean_shots), p=ideal_probs
+        buckets: dict[tuple, list[int]] = {}
+        clean_shots: list[int] = []
+        for shot in range(shots):
+            errors = trajectories.get(shot)
+            if errors:
+                buckets.setdefault(tuple(sorted(errors)), []).append(shot)
+            else:
+                clean_shots.append(shot)
+
+        # The largest buckets run exactly, in first-error order so they
+        # share one prefix walk; the rest form the approximate tail.
+        ranked = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        exact = sorted(
+            ranked[:max_trajectories], key=lambda kv: (kv[0][0][0], kv[0])
         )
+        approximate = ranked[max_trajectories:]
 
-    # --- 4. exact trajectories (largest buckets, shared prefix) -------
-    ranked = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    exact = sorted(
-        ranked[:max_trajectories], key=lambda kv: (kv[0][0][0], kv[0])
-    )
-    approximate = ranked[max_trajectories:]
+    # --- 3. one plan for every walk, then the ideal run ---------------
+    with _span("sim.ideal", instructions=len(instructions)):
+        plan = engine.plan(
+            instructions, [insert for signature, _ in exact for insert in signature]
+        )
+        ideal_state = engine.replay(
+            engine.initial_state(), plan, 0, len(instructions)
+        )
+        ideal_probs = engine.probabilities(ideal_state)
+        basis = np.empty(shots, dtype=np.int64)
+        if clean_shots:
+            basis[clean_shots] = rng.choice(
+                engine.dim, size=len(clean_shots), p=ideal_probs
+            )
+
+    # --- 4. exact trajectories (shared prefix, one branch each) -------
     t_exact = time.perf_counter()
     prefix_state = engine.initial_state()
     prefix_position = 0
     for signature, bucket in exact:
         first_position = signature[0][0]
-        if first_position > prefix_position:
-            prefix_state = engine.apply_segment(
-                prefix_state, instructions, prefix_position, first_position
+        with _span(
+            "sim.trajectory", position=first_position,
+            errors=len(signature), shots=len(bucket),
+        ):
+            if first_position > prefix_position:
+                prefix_state = engine.replay(
+                    prefix_state, plan, prefix_position, first_position
+                )
+                prefix_position = first_position
+            branch = engine.replay(
+                prefix_state.copy(), plan, prefix_position, len(instructions),
+                inserts=signature,
             )
-            prefix_position = first_position
-        branch = engine.apply_segment(
-            prefix_state.copy(),
-            instructions,
-            prefix_position,
-            len(instructions),
-            inserts=signature,
-        )
-        basis[bucket] = rng.choice(
-            engine.dim, size=len(bucket), p=engine.probabilities(branch)
-        )
+            basis[bucket] = rng.choice(
+                engine.dim, size=len(bucket), p=engine.probabilities(branch)
+            )
     if exact:
         profiler.add(
             "sim.trajectory", time.perf_counter() - t_exact, count=len(exact)
         )
 
-    # --- 5. approximate tail: depolarize touched qubits ----------------
-    approx_shots = [shot for _, bucket in approximate for shot in bucket]
-    if approx_shots:
-        approx_shots.sort()
-        basis[approx_shots] = rng.choice(
-            engine.dim, size=len(approx_shots), p=ideal_probs
-        )
-        for shot in approx_shots:
-            value = int(basis[shot])
-            for _, qubit, _ in trajectories[shot]:
-                current = (value >> qubit) & 1
-                value ^= (current ^ int(rng.integers(2))) << qubit
-            basis[shot] = value
-        profiler.add("sim.approx_shots", 0.0, count=len(approx_shots))
-
-    # --- 6. readout flips (exact, classical) ---------------------------
-    for column, event in readout_columns:
-        flips = fired[:, column]
-        if flips.any():
-            basis[flips] ^= 1 << event.qubits[0]
-
-    # --- 7. aggregate ---------------------------------------------------
-    values, value_counts = np.unique(basis, return_counts=True)
-    ordered = sorted(
-        zip(values.tolist(), value_counts.tolist()),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    counts = {bitstring(v, n): int(c) for v, c in ordered}
-
-    eps_sampled = error_free / shots
-    eps_ci = wilson_interval(error_free, shots)
-    eps_analytic = model.analytic_eps() if model is not None else 1.0
-
-    quality: dict = {}
-    if formula is not None:
-        if formula.num_vars != n:
-            raise SimulationError(
-                f"formula has {formula.num_vars} variables but the program "
-                f"has {n} qubits; cannot score"
+    with _span("sim.sample", shots=shots):
+        # --- 5. approximate tail: depolarize touched qubits ------------
+        approx_shots = [shot for _, bucket in approximate for shot in bucket]
+        if approx_shots:
+            approx_shots.sort()
+            basis[approx_shots] = rng.choice(
+                engine.dim, size=len(approx_shots), p=ideal_probs
             )
-        quality = score_samples(formula, basis)
+            for shot in approx_shots:
+                value = int(basis[shot])
+                for _, qubit, _ in trajectories[shot]:
+                    current = (value >> qubit) & 1
+                    value ^= (current ^ int(rng.integers(2))) << qubit
+                basis[shot] = value
+            profiler.add("sim.approx_shots", 0.0, count=len(approx_shots))
 
-    profiler.add_pass("sim.total", time.perf_counter() - started)
-    stats = {
-        "events": len(events),
-        "events_fired": int(fired.sum()) if fired is not None else 0,
-        "unique_trajectories": len(buckets),
-        "exact_trajectories": len(exact),
-        "approx_shots": len(approx_shots) if approx_shots else 0,
-        "noise": model.describe() if model is not None else None,
-    }
-    return ExecutionResult(
-        workload=schedule.name,
-        shots=shots,
-        counts=counts,
-        target=target,
-        device=device,
-        seed=seed if isinstance(seed, int) else None,
-        noise_scale=model.scale if model is not None else None,
-        engine=engine.name,
-        num_qubits=n,
-        error_free_shots=error_free,
-        eps_sampled=eps_sampled,
-        eps_ci=eps_ci,
-        eps_analytic=eps_analytic,
-        duration_us=schedule.duration_us,
-        stats=stats,
-        profile=_deterministic_profile(profiler.profile()),
-        **quality,
-    )
+        # --- 6. readout flips (exact, classical) -----------------------
+        for column, event in readout_columns:
+            flips = fired[:, column]
+            if flips.any():
+                basis[flips] ^= 1 << event.qubits[0]
+
+        # --- 7. aggregate and score ------------------------------------
+        values, value_counts = np.unique(basis, return_counts=True)
+        ordered = sorted(
+            zip(values.tolist(), value_counts.tolist()),
+            key=lambda pair: (-pair[1], pair[0]),
+        )
+        counts = {bitstring(v, n): int(c) for v, c in ordered}
+
+        eps_sampled = error_free / shots
+        eps_ci = wilson_interval(error_free, shots)
+        eps_analytic = model.analytic_eps() if model is not None else 1.0
+
+        quality: dict = {}
+        if formula is not None:
+            if formula.num_vars != n:
+                raise SimulationError(
+                    f"formula has {formula.num_vars} variables but the program "
+                    f"has {n} qubits; cannot score"
+                )
+            quality = score_samples(formula, basis)
+
+        stats = {
+            "events": len(events),
+            "events_fired": int(fired.sum()) if fired is not None else 0,
+            "unique_trajectories": len(buckets),
+            "exact_trajectories": len(exact),
+            "approx_shots": len(approx_shots) if approx_shots else 0,
+            "noise": model.describe() if model is not None else None,
+        }
+        return ExecutionResult(
+            workload=schedule.name,
+            shots=shots,
+            counts=counts,
+            target=target,
+            device=device,
+            seed=seed if isinstance(seed, int) else None,
+            noise_scale=model.scale if model is not None else None,
+            engine=engine.name,
+            num_qubits=n,
+            error_free_shots=error_free,
+            eps_sampled=eps_sampled,
+            eps_ci=eps_ci,
+            eps_analytic=eps_analytic,
+            duration_us=schedule.duration_us,
+            stats=stats,
+            profile=_deterministic_profile(profiler.profile()),
+            **quality,
+        )
 
 
 def _deterministic_profile(profile: dict) -> dict:

@@ -95,6 +95,18 @@ class TestEngines:
         state = engine.apply_segment(state, circuit.instructions, 7, 20)
         assert np.allclose(whole, state, atol=1e-9)
 
+    def test_split_segment_applies_a_boundary_insert_once(self):
+        # An insert at a split point belongs to the segment it starts.
+        circuit = repro.QuantumCircuit(2).h(0).cx(0, 1).h(0).rz(0.4, 1)
+        inserts = [(2, 0, "x")]
+        engine = StatevectorEngine(2)
+        whole = engine.run(circuit, inserts=inserts)
+        state = engine.initial_state()
+        state = engine.apply_segment(state, circuit.instructions, 0, 2, inserts)
+        state = engine.apply_segment(state, circuit.instructions, 2, 4, inserts)
+        assert np.allclose(whole, state, atol=1e-9)
+        assert not np.allclose(whole, engine.run(circuit), atol=1e-9)
+
     def test_qubit_cap_enforced(self):
         with pytest.raises(SimulationError):
             StatevectorEngine(repro.linalg.MAX_STATEVECTOR_QUBITS + 1)

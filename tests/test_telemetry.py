@@ -691,6 +691,29 @@ class TestCheckerSpans:
 
 
 # ----------------------------------------------------------------------
+# Simulator spans
+# ----------------------------------------------------------------------
+class TestSimulatorSpans:
+    def test_phases_cover_the_run(self):
+        import repro
+        from repro.sim import simulate_result
+
+        formula = repro.random_ksat(12, 51, seed=3)
+        result = repro.compile(formula, target="fpqa")
+        tracer = configure(True)
+        execution = simulate_result(result, shots=500, seed=0, formula=formula)
+        spans = tracer.export()
+        (schedule,) = [s for s in spans if s["name"] == "sim.schedule"]
+        (root,) = [s for s in spans if s["name"] == "sim.run"]
+        assert schedule["end"] <= root["start"]
+        children = [s for s in spans if s["parent"] == root["span"]]
+        names = [s["name"] for s in children]
+        assert set(names) == {"sim.events", "sim.ideal", "sim.trajectory", "sim.sample"}
+        assert names.count("sim.trajectory") == execution.stats["exact_trajectories"] == 8
+        assert _covered_share(root, children) >= 0.95
+
+
+# ----------------------------------------------------------------------
 # Artifact decode spans
 # ----------------------------------------------------------------------
 class TestDecodeSpans:
