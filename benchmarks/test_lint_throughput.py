@@ -11,9 +11,10 @@ so the ratios are immune to host speed:
   (measured 0.22-0.41x, a >=2.4x margin; a checker that converts and
   matches every pulse again reads 2.1-2.5x and fails).
 
-The two layers are not pinned against each other: the checker costs
-~1-1.5x lint, and what either costs is only meaningful next to the
-compile it verifies.  ``BENCH_lint.json`` keeps the absolute
+The two layers are not pinned against each other: both replay the
+program through the same ``FPQADevice``, the checker costs ~1.3x lint
+on uf100, and what either costs is only meaningful next to the compile
+it verifies.  ``BENCH_lint.json`` keeps the absolute
 lint/checker numbers of earlier runs as frozen history; compile-corpus
 ``lint_s`` and ``check_s`` in ``BENCH_perfbench.json`` are the live
 trajectory (``python -m repro.perf.bench``).

@@ -4,13 +4,16 @@ A compiled pulse program can be *proved* safe against the FPQA
 constraint system (paper Table 1) in one linear pass, without the
 wChecker's per-operation unitary reconstruction.  This package holds
 the diagnostic framework (stable ``WL###`` rule codes, severities,
-source locations, JSON-round-trippable reports) and the
-dataflow/abstract-interpretation passes behind it:
+source locations, JSON-round-trippable reports) and the passes behind
+it.  The program pass replays the stream through the one FPQA machine
+model, :class:`~repro.fpqa.device.FPQADevice`, in report mode: each
+Table-1 violation the device reports carries its ``WL###`` code and
+becomes a diagnostic.  The checks:
 
 * shuttle order preservation across ``ParallelShuttle`` groups,
 * trap-occupancy dataflow (binds, transfers, readout orphans),
 * qubit liveness,
-* Rydberg interference sets from static geometry envelopes,
+* Rydberg interference sets from the replayed atom positions,
 * cost-model bounds (duration / pulse count / EPS), and
 * circuit-IR checks for gate-level targets.
 

@@ -16,8 +16,7 @@ from ..devices.cost import cost_model_for
 from ..fpqa.hardware import FPQAHardwareParams
 from ..wqasm.program import WQasmProgram
 from . import registry as R
-from .diagnostics import SourceLocation
-from .model import Sink
+from .diagnostics import Sink, SourceLocation
 
 BOUNDS_RULES = (
     R.PULSE_COUNT_MISMATCH,

@@ -10,8 +10,7 @@ flagged here — to keep the analyzer's zero-false-positive contract.
 from __future__ import annotations
 
 from . import registry as R
-from .diagnostics import SourceLocation
-from .model import Sink
+from .diagnostics import Sink, SourceLocation
 
 CIRCUIT_RULES = (
     R.CIRCUIT_QUBIT_RANGE,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 #: Bump when the serialized report layout changes so stale payloads are
 #: rejected rather than misread.
@@ -104,6 +105,10 @@ class Diagnostic:
             location=SourceLocation.from_dict(payload.get("location") or {}),
             qubits=tuple(payload.get("qubits") or ()),
         )
+
+
+#: Receives each finding of an analysis pass.
+Sink = Callable[[Diagnostic], None]
 
 
 @dataclass

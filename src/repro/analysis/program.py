@@ -2,31 +2,36 @@
 
 This is the static counterpart of the wChecker's dynamic replay.  Where
 the checker reconstructs unitaries per operation (the paper's O(N^2 M)
-layer), this pass drives the :class:`AbstractDeviceState` through the
-instruction stream once and checks, per operation, that the *recorded*
-logical gates are consistent with what the pulse would physically do:
+layer), this pass replays the instruction stream once through the one
+FPQA machine model, :class:`~repro.fpqa.device.FPQADevice`, in report
+mode: each Table-1 violation the device finds becomes a diagnostic at
+the current source location, and the device recovers so the walk goes
+on.  On top of that replay it checks, per operation, that the
+*recorded* logical gates are consistent with what the pulse would
+physically do:
 
 * Raman pulses must rotate exactly the qubits their recorded gates name,
   by the same unitary (compared up to global phase, memoized per unique
   angle/gate pair — compiled programs reuse a handful of rotations);
-* Rydberg pulses must entangle exactly the clusters the static geometry
-  implies, with gate names matching cluster arity;
+* Rydberg pulses must entangle exactly the clusters the device resolves
+  for the current atom positions, with gate names matching cluster arity;
 * occupancy, shuttle-order, and liveness invariants hold throughout.
 
-The pass never simulates state vectors or replays device geometry, so
-``weaver lint`` costs ~0.25x a warm compile on uf100; the wChecker,
-which replays the device state machine, costs ~1-1.5x lint.
+The pass never simulates state vectors or reconstructs circuits, so
+``weaver lint`` costs about as much as the wChecker on programs too wide
+for its equivalence layers, and far less than a warm compile.
 """
 
 from __future__ import annotations
 
 from ..circuits.gates import gate_matrix
+from ..exceptions import FPQAConstraintError
+from ..fpqa.device import FPQADevice
 from ..fpqa.hardware import FPQAHardwareParams
-from ..fpqa.instructions import RamanGlobal, RamanLocal, RydbergPulse
+from ..fpqa.instructions import BindAtom, RamanGlobal, RamanLocal, RydbergPulse
 from ..wqasm.program import AnnotatedOperation, WQasmProgram
 from . import registry as R
-from .diagnostics import SourceLocation
-from .model import AbstractDeviceState, Sink
+from .diagnostics import Sink, SourceLocation
 
 #: Rule families exercised by this pass (stamped into ``rules_run``).
 PROGRAM_RULES = (
@@ -87,7 +92,13 @@ class ProgramAnalyzer:
         self.program = program
         self.hardware = hardware or FPQAHardwareParams()
         self.sink = sink
-        self.state = AbstractDeviceState(self.hardware, sink)
+        self.device = FPQADevice(self.hardware, sink=self._on_violation)
+        #: Current stream position; a SourceLocation is only materialized
+        #: when a finding actually fires (the clean path is hot).
+        self.op_index = -1
+        self.instr_index: int | None = None
+        #: Qubits ever bound (liveness), including ones whose bind failed.
+        self.ever_bound: set[int] = set()
         self.covered: set[int] = set()
         self.instructions_scanned = 0
         # (x, y, z, gate) -> _raman_matches_gate.  Compiled programs draw
@@ -99,46 +110,58 @@ class ProgramAnalyzer:
         self,
         rule: R.LintRule,
         message: str,
-        location: SourceLocation,
         qubits: tuple[int, ...] = (),
+        location: SourceLocation | None = None,
     ) -> None:
+        """One finding, by default at the current stream position."""
+        if location is None:
+            location = SourceLocation(
+                operation=self.op_index, instruction=self.instr_index
+            )
         self.sink(rule.diagnostic(message, location=location, qubits=qubits))
+
+    def _on_violation(self, error: FPQAConstraintError) -> None:
+        """The device's sink: one Table-1 violation -> one diagnostic."""
+        assert error.code is not None  # every device check carries its rule
+        self.report(R.get_rule(error.code), str(error), error.qubits)
 
     # ------------------------------------------------------------------
     def run(self) -> dict:
-        state = self.state
-        state.op_index = -1
+        apply = self.device.apply
         for index, instruction in enumerate(self.program.setup):
-            state.instr_index = index
-            state.apply(instruction)
+            self.instr_index = index
+            if type(instruction) is BindAtom:
+                self.ever_bound.add(instruction.qubit)
+            apply(instruction)
             self.instructions_scanned += 1
         for op_index, operation in enumerate(self.program.operations):
             self._walk_operation(op_index, operation)
         self._finalize()
         return {
-            "cluster_resolutions": self.state.cluster_resolutions,
+            "cluster_resolutions": self.device.cluster_resolutions,
             "qubits_covered": len(self.covered),
         }
 
     # ------------------------------------------------------------------
     def _walk_operation(self, op_index: int, operation: AnnotatedOperation) -> None:
-        state = self.state
-        state.op_index = op_index
-        apply = state.apply
+        self.op_index = op_index
+        apply = self.device.apply
         is_pulse = _PULSE_TYPES.__contains__
         pulses: list[tuple[int, object]] = []
         index = -1
         for instruction in operation.instructions:
             index += 1
-            state.instr_index = index
-            # RydbergPulse is a no-op on state (clusters are resolved
-            # lazily in the agreement check); skipping apply() keeps the
-            # clean path to one dispatch per instruction.
-            if is_pulse(type(instruction)):
-                if type(instruction) is not RydbergPulse:
+            self.instr_index = index
+            kind = type(instruction)
+            # A Rydberg pulse changes no state (its clusters are resolved
+            # in the agreement check below), so it skips the device.
+            if is_pulse(kind):
+                if kind is not RydbergPulse:
                     apply(instruction)
                 pulses.append((index, instruction))
             else:
+                if type(instruction) is BindAtom:
+                    self.ever_bound.add(instruction.qubit)
                 apply(instruction)
         self.instructions_scanned += index + 1
 
@@ -152,7 +175,7 @@ class ProgramAnalyzer:
                 self.report(
                     R.PULSE_GATE_ORPHAN,
                     f"operation records gate(s) {names} but contains no pulse",
-                    SourceLocation(operation=op_index),
+                    location=SourceLocation(operation=op_index),
                 )
             return
         if len(pulses) > 1:
@@ -160,14 +183,14 @@ class ProgramAnalyzer:
             # statement; the gate association is ambiguous, so the
             # agreement check conservatively stands down.
             return
-        index, pulse = pulses[0]
-        location = SourceLocation(operation=op_index, instruction=index)
+        # The agreement checks report at the pulse.
+        self.instr_index, pulse = pulses[0]
         if isinstance(pulse, RamanLocal):
-            self._check_raman_local(pulse, operation, location)
+            self._check_raman_local(pulse, operation)
         elif isinstance(pulse, RamanGlobal):
-            self._check_raman_global(pulse, operation, location)
+            self._check_raman_global(pulse, operation)
         else:
-            self._check_rydberg(operation, location)
+            self._check_rydberg(operation)
 
     # ------------------------------------------------------------------
     def _raman_implements(self, pulse, gate) -> bool:
@@ -178,7 +201,7 @@ class ProgramAnalyzer:
             self._raman_matches[key] = ok
         return ok
 
-    def _check_raman_local(self, pulse, operation, location) -> None:
+    def _check_raman_local(self, pulse, operation) -> None:
         gates = operation.gates
         if len(gates) != 1 or gates[0].qubits != (pulse.qubit,):
             recorded = [f"{g.name}{list(g.qubits)}" for g in gates] or ["nothing"]
@@ -186,7 +209,6 @@ class ProgramAnalyzer:
                 R.PULSE_GATE_ORPHAN,
                 f"@raman local on qubit {pulse.qubit} records "
                 f"{', '.join(recorded)}; expected exactly one gate on that qubit",
-                location,
                 qubits=(pulse.qubit,),
             )
             return
@@ -196,12 +218,11 @@ class ProgramAnalyzer:
                 f"@raman local ({pulse.x:.4f}, {pulse.y:.4f}, {pulse.z:.4f}) "
                 f"does not implement the recorded {gates[0].name} gate on "
                 f"qubit {pulse.qubit}",
-                location,
                 qubits=(pulse.qubit,),
             )
 
-    def _check_raman_global(self, pulse, operation, location) -> None:
-        bound = set(self.state.qubit_location)
+    def _check_raman_global(self, pulse, operation) -> None:
+        bound = set(self.device.qubit_location)
         recorded: set[int] = set()
         for gate in operation.gates:
             recorded.update(gate.qubits)
@@ -209,7 +230,6 @@ class ProgramAnalyzer:
                 self.report(
                     R.PULSE_GATE_ORPHAN,
                     f"@raman global records multi-qubit gate {gate.name}",
-                    location,
                 )
                 return
         if recorded != bound:
@@ -220,7 +240,6 @@ class ProgramAnalyzer:
                 "@raman global drives every bound atom, but the recorded "
                 f"gates disagree (unrecorded qubits {missing}, "
                 f"recorded-but-unbound {extra})",
-                location,
                 qubits=tuple(missing + extra),
             )
         checked: set = set()
@@ -234,24 +253,15 @@ class ProgramAnalyzer:
                     R.RAMAN_GATE_MISMATCH,
                     f"@raman global ({pulse.x:.4f}, {pulse.y:.4f}, {pulse.z:.4f}) "
                     f"does not implement the recorded {gate.name} gate",
-                    location,
                 )
                 return
 
-    def _check_rydberg(self, operation, location) -> None:
-        clusters = self.state.resolve_clusters()
-        implied: dict[frozenset[int], int] = {}
-        for qubits, equidistant in clusters:
-            implied[frozenset(qubits)] = len(qubits)
-            if not equidistant:
-                self.report(
-                    R.CLUSTER_EQUIDISTANCE,
-                    f"Rydberg cluster {list(qubits)} is not equidistant within "
-                    f"{self.hardware.equidistance_tolerance_um} um; the digital "
-                    "C^nZ semantics does not apply (§7)",
-                    location,
-                    qubits=qubits,
-                )
+    def _check_rydberg(self, operation) -> None:
+        # The device reports each non-equidistant cluster (WL042) here.
+        implied = {
+            frozenset(cluster.qubits): cluster.size
+            for cluster in self.device.resolve_rydberg_clusters()
+        }
         recorded: dict[frozenset[int], str] = {}
         for gate in operation.gates:
             recorded[frozenset(gate.qubits)] = gate.name
@@ -260,7 +270,6 @@ class ProgramAnalyzer:
                 R.CLUSTER_MISMATCH,
                 f"recorded entangling gate on qubits {sorted(group)} but the "
                 "atom positions imply no such interaction cluster",
-                location,
                 qubits=tuple(sorted(group)),
             )
         for group in implied.keys() - recorded.keys():
@@ -268,7 +277,6 @@ class ProgramAnalyzer:
                 R.CLUSTER_MISMATCH,
                 f"atom positions imply an interaction cluster on qubits "
                 f"{sorted(group)} with no recorded gate",
-                location,
                 qubits=tuple(sorted(group)),
             )
         for group, name in recorded.items():
@@ -281,7 +289,6 @@ class ProgramAnalyzer:
                     R.CLUSTER_ARITY,
                     f"cluster of {size} atoms on qubits {sorted(group)} must "
                     f"record {expected}, found {name}",
-                    location,
                     qubits=tuple(sorted(group)),
                 )
 
@@ -294,30 +301,30 @@ class ProgramAnalyzer:
                     R.GATE_QUBIT_RANGE,
                     f"recorded gates reference qubit {qubit} outside the "
                     f"{self.program.num_qubits}-qubit register",
-                    program_location,
                     qubits=(qubit,),
+                    location=program_location,
                 )
         for qubit in range(self.program.num_qubits):
-            if qubit not in self.state.ever_bound:
+            if qubit not in self.ever_bound:
                 self.report(
                     R.QUBIT_NEVER_BOUND,
                     f"logical qubit {qubit} is never bound to an atom",
-                    program_location,
                     qubits=(qubit,),
+                    location=program_location,
                 )
             elif qubit not in self.covered:
                 self.report(
                     R.QUBIT_UNCOVERED,
                     f"qubit {qubit} is bound but never driven by a recorded gate",
-                    program_location,
                     qubits=(qubit,),
+                    location=program_location,
                 )
-        if self.program.measured and self.state.aod_atoms:
-            orphans = tuple(sorted(self.state.aod_atoms.values()))
+        if self.program.measured and self.device.aod_atoms:
+            orphans = tuple(sorted(self.device.aod_atoms.values()))
             self.report(
                 R.READOUT_ORPHAN,
                 f"measured program ends with qubit(s) {list(orphans)} still "
                 "held in the AOD layer; readout happens in the SLM plane",
-                program_location,
                 qubits=orphans,
+                location=program_location,
             )

@@ -50,8 +50,18 @@ class FPQAConstraintError(WeaverError):
     """An FPQA device operation violates a hardware constraint.
 
     Examples: AOD rows crossing during a shuttle, traps closer than the
-    minimum spacing, transferring onto an occupied trap.
+    minimum spacing, transferring onto an occupied trap.  A Table-1 check
+    of :class:`~repro.fpqa.device.FPQADevice` sets ``code`` to the wLint
+    rule it maps to (``"WL###"``) and ``qubits`` to the qubits involved;
+    other raisers leave them ``None`` and empty.
     """
+
+    def __init__(
+        self, message: str, code: str | None = None, qubits: tuple[int, ...] = ()
+    ) -> None:
+        super().__init__(message)
+        self.code = code
+        self.qubits = qubits
 
 
 class SatError(WeaverError):

@@ -289,10 +289,11 @@ def _run_schedule(
         plan = engine.plan(
             instructions, [insert for signature, _ in exact for insert in signature]
         )
-        ideal_state = engine.replay(
-            engine.initial_state(), plan, 0, len(instructions)
+        # Only the distribution outlives the walk: the ideal state is
+        # freed here, before the trajectories allocate theirs.
+        ideal_probs = engine.probabilities(
+            engine.replay(engine.initial_state(), plan, 0, len(instructions))
         )
-        ideal_probs = engine.probabilities(ideal_state)
         basis = np.empty(shots, dtype=np.int64)
         if clean_shots:
             basis[clean_shots] = rng.choice(

@@ -14,7 +14,8 @@ same message, and ends at the same coordinates.
 
 Both moved out of the device unchanged except for their imports
 (absolute ``repro`` paths) and for taking the device as an argument
-instead of ``self``.
+instead of ``self``; the shuttle check's message tracks the device's
+WL011 wording, which the differential test compares.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def shuttle_full_rescan(device: FPQADevice, moves: list[ShuttleMove]) -> None:
         for i, (a, b) in enumerate(zip(coords, coords[1:])):
             if b - a < spacing - 1e-9:
                 raise FPQAConstraintError(
-                    f"@shuttle would bring adjacent {name}s {i} and {i + 1} "
+                    f"shuttle brings adjacent {name}s {i} and {i + 1} "
                     f"within {b - a:.2f} um (minimum {spacing} um); "
                     "rows/columns may not cross or crowd (Table 1)"
                 )
