@@ -6,13 +6,13 @@ all three measured in the same process as the best of several repeats,
 so the ratios are immune to host speed:
 
 * ``weaver lint`` takes at most **0.5x** a warm compile (measured
-  0.23-0.29x on a 2-vCPU VM, a >=1.7x margin);
+  0.27-0.29x on a 2-vCPU VM, a >=1.7x margin);
 * the wChecker's ``check_program`` takes at most **1.0x** a warm compile
-  (measured 0.22-0.41x, a >=2.4x margin; a checker that converts and
+  (measured 0.22-0.23x, a >=4x margin; a checker that converts and
   matches every pulse again reads 2.1-2.5x and fails).
 
 The two layers are not pinned against each other: both replay the
-program through the same ``FPQADevice``, the checker costs ~1.3x lint
+program through the same ``FPQADevice``, the checker costs ~0.8x lint
 on uf100, and what either costs is only meaningful next to the compile
 it verifies.  ``BENCH_lint.json`` keeps the absolute
 lint/checker numbers of earlier runs as frozen history; compile-corpus

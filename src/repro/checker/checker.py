@@ -17,16 +17,19 @@ size (see :mod:`repro.checker.unitary_check`).
 
 Cost: compiled programs repeat a dozen (pulse, gate) pairs across
 thousands of pulses, so the per-operation layer converts and matches each
-distinct pair once; above the probe limit layers 2 and 3 build no
-circuit.  What remains is mostly the device replay: on uf100 a check
-costs ~0.2-0.4x a warm compile and ~1-1.5x ``weaver lint``.  The
-``checker.check`` telemetry span splits into ``checker.replay`` (layer 1)
-and ``checker.equivalence`` (layers 2 and 3).
+distinct pair once; it keeps implied gates as ``(gate, qubits)`` pairs and
+matches the common one-pulse, one-gate operation without grouping tables.
+Above the probe limit layers 2 and 3 build no circuit.  What remains is
+mostly the device replay: on uf100 a check costs ~0.22x a warm compile
+and ~0.8x ``weaver lint``.  The ``checker.check`` telemetry span splits
+into ``checker.replay`` (layer 1) and ``checker.equivalence`` (layers 2
+and 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..circuits import Instruction, QuantumCircuit
 from ..circuits.gates import Gate
@@ -35,7 +38,7 @@ from ..fpqa.hardware import FPQAHardwareParams
 from ..linalg import allclose_up_to_global_phase
 from ..telemetry.trace import span as _span
 from ..wqasm.program import WQasmProgram
-from .pulse_to_gate import PulseToGateConverter
+from .pulse_to_gate import ImpliedGate, PulseToGateConverter
 from .unitary_check import EquivalenceMethod, equivalence_check, equivalence_method
 
 
@@ -57,11 +60,20 @@ class CheckReport:
             raise EquivalenceError(details)
 
 
-def _gates_by_qubits(gates: tuple[Instruction, ...] | list[Instruction]):
-    table: dict[tuple[int, ...], list[Instruction]] = {}
-    for gate in gates:
-        table.setdefault(tuple(sorted(gate.qubits)), []).append(gate)
-    return table
+def _groups_differ(
+    index: int, got: list[tuple[int, ...]], want: list[tuple[int, ...]]
+) -> str:
+    return (
+        f"op {index}: pulses touch qubit groups {got} but the "
+        f"logical statement claims {want}"
+    )
+
+
+def _gates_differ(index: int, qubits: tuple[int, ...], pair: tuple[Gate, Gate]) -> str:
+    return (
+        f"op {index}: pulse on qubits {qubits} implements "
+        f"{pair[0]} but the statement claims {pair[1]}"
+    )
 
 
 class WChecker:
@@ -72,7 +84,7 @@ class WChecker:
         hardware: FPQAHardwareParams | None = None,
         atol: float = 1e-7,
         max_probe_qubits: int = 16,
-    ):
+    ) -> None:
         """``max_probe_qubits`` bounds the expensive statevector probing in
         layers 2/3; above it the checker relies on the per-operation layer
         (the paper's O(N^2 M) check), reporting ``None`` for those layers.
@@ -155,7 +167,10 @@ class WChecker:
         """Layer 1: per-operation pulse-to-gate agreement.
 
         Returns the reconstructed circuit as a byproduct; with ``build``
-        false it stays empty (no later layer would read it).
+        false it stays empty (no later layer would read it).  Implied
+        gates stay ``(gate, qubits)`` pairs, and the common operation —
+        one pulse implying one gate, one recorded gate — is matched
+        without grouping tables.
         """
         converter = PulseToGateConverter(program.num_qubits, self.hardware)
         reconstructed = QuantumCircuit(
@@ -164,43 +179,66 @@ class WChecker:
         # (implied gate, recorded gate) -> equal up to global phase.  The
         # pairs repeat across thousands of operations; the test is pure.
         matches: dict[tuple[Gate, Gate], bool] = {}
+        implied = converter.implied
+        failures = report.operation_failures
         for instruction in program.setup:
             try:
-                converter.convert(instruction)
+                implied(instruction)
             except (FPQAConstraintError, VerificationError) as exc:
-                report.operation_failures.append(f"setup: {exc}")
+                failures.append(f"setup: {exc}")
                 report.ok = False
                 return reconstructed
         for index, operation in enumerate(program.operations):
             report.operations_checked += 1
-            recovered: list[Instruction] = []
+            instructions = operation.instructions
             try:
-                for instruction in operation.instructions:
-                    recovered.extend(converter.convert(instruction))
+                got = (
+                    implied(instructions[0])
+                    if len(instructions) == 1
+                    else [gate for step in instructions for gate in implied(step)]
+                )
             except (FPQAConstraintError, VerificationError) as exc:
-                report.operation_failures.append(f"op {index}: {exc}")
+                failures.append(f"op {index}: {exc}")
                 continue
             if build:
-                for gate in recovered:
-                    reconstructed.append(gate.gate, gate.qubits)
-            self._match_gates(index, recovered, operation.gates, report, matches)
+                for gate, qubits in got:
+                    reconstructed.append(gate, qubits)
+            recorded = operation.gates
+            if len(got) != 1 or len(recorded) != 1:
+                if got or recorded:
+                    self._match_gates(index, got, recorded, report, matches)
+                continue
+            (gate, qubits), want = got[0], recorded[0]
+            claimed = tuple(sorted(want.qubits))
+            if qubits != claimed:
+                failures.append(_groups_differ(index, [qubits], [claimed]))
+                continue
+            pair = (gate, want.gate)
+            same = matches.get(pair)
+            if same is None:
+                same = matches[pair] = self._same_gate(*pair)
+            if not same:
+                failures.append(_gates_differ(index, qubits, pair))
         return reconstructed
 
     def _match_gates(
         self,
         index: int,
-        recovered: list[Instruction],
+        recovered: Sequence[ImpliedGate],
         recorded: tuple[Instruction, ...],
         report: CheckReport,
         matches: dict[tuple[Gate, Gate], bool],
     ) -> None:
         """Match pulses' implied gates against the recorded logical gates."""
-        got = _gates_by_qubits(recovered)
-        want = _gates_by_qubits(recorded)
+        got: dict[tuple[int, ...], list[Gate]] = {}
+        for gate, qubits in recovered:
+            got.setdefault(qubits, []).append(gate)
+        want: dict[tuple[int, ...], list[Gate]] = {}
+        for instruction in recorded:
+            want.setdefault(tuple(sorted(instruction.qubits)), []).append(instruction.gate)
         if set(got) != set(want):
             report.operation_failures.append(
-                f"op {index}: pulses touch qubit groups {sorted(got)} but the "
-                f"logical statement claims {sorted(want)}"
+                _groups_differ(index, sorted(got), sorted(want))
             )
             return
         for qubits, want_gates in want.items():
@@ -210,16 +248,12 @@ class WChecker:
                     f"op {index}: gate count mismatch on qubits {qubits}"
                 )
                 continue
-            for got_gate, want_gate in zip(got_gates, want_gates):
-                pair = (got_gate.gate, want_gate.gate)
+            for pair in zip(got_gates, want_gates):
                 same = matches.get(pair)
                 if same is None:
                     same = matches[pair] = self._same_gate(*pair)
                 if not same:
-                    report.operation_failures.append(
-                        f"op {index}: pulse on qubits {qubits} implements "
-                        f"{got_gate.gate} but the statement claims {want_gate.gate}"
-                    )
+                    report.operation_failures.append(_gates_differ(index, qubits, pair))
 
     def _same_gate(self, got: Gate, want: Gate) -> bool:
         """Equal up to global phase; non-unitary markers always agree."""

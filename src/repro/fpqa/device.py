@@ -23,21 +23,27 @@ transfers, out-of-range binds, transfers and moves) are skipped, since
 hardware cannot perform them at all.
 
 Hot-path notes: instruction dispatch is a ``type -> handler`` dict (not an
-isinstance chain), and Rydberg cluster resolution uses a spatial-hash
-neighbor query, like the trap spacing check, plus dirty tracking
-(consecutive pulses with no movement in between reuse the previous cluster
-set).  A shuttle checks only the AOD gaps next to the lines it moves.
-The device keeps no instruction log: its callers already hold the
-program they replay or emit.  The dense O(n^2) resolver and the
-full-rescan shuttle check it replaced are kept only as test oracles
-(``tests/oracles/device.py``).
+isinstance chain; :meth:`FPQADevice.handler` hands a handler to a driver
+with its own dispatch table).  ``@slm`` runs one vectorized numpy pass
+over the traps; the exact per-pair spacing loop runs only when that pass
+flags a pair, and then reports the violations.  The same pass finds the
+static trap pairs within the Rydberg radius, and the trap layer is hashed
+once, so a pulse probes only the AOD-held atoms against it.  Dirty
+tracking lets consecutive pulses with no movement in between reuse the
+previous cluster set.  A shuttle copies only the axes it moves and checks
+only the AOD gaps next to the lines it moves.  The device keeps no
+instruction log: its callers already hold the program they replay or
+emit.  The dense O(n^2) resolver and the full-rescan shuttle check it
+replaced are kept only as test oracles (``tests/oracles/device.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from ..exceptions import FPQAConstraintError
 from .geometry import position_key
@@ -62,8 +68,97 @@ Location = tuple  # ("slm", index) | ("aod", col, row)
 ViolationSink = Callable[[FPQAConstraintError], None]
 
 #: Key offsets of the cells (x+1, y-1), (x+1, y), (x+1, y+1) and
-#: (x, y+1) in the Rydberg resolver's spatial hash.
+#: (x, y+1) in a spatial hash keyed ``(cell_x << 32) + cell_y``.
 _FORWARD_CELLS = ((1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1)
+
+#: Key offsets of a cell and its eight neighbours in the same hash.
+_NEIGHBOUR_CELLS = tuple((dx << 32) + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+#: How far the vectorized pre-passes over the SLM layer reach beyond the
+#: distance they screen for, so they flag every pair the exact Python
+#: arithmetic would accept.
+_SLACK_UM = 1e-6
+
+
+def _points(positions: Sequence[tuple[float, float]], reach: float) -> np.ndarray | None:
+    """``positions`` as an ``(n, 2)`` float array for :func:`_close_pairs`.
+
+    ``None`` when they are not all finite (x, y) pairs or lie so far out
+    that ``reach``-sized cell keys would overflow 64 bits; the exact
+    Python paths handle those.
+    """
+    try:
+        points = np.array(positions, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    if points.shape != (len(positions), 2) or not np.isfinite(points).all():
+        return None
+    if len(points) and np.abs(points).max() >= reach * 2**30:
+        return None
+    return points
+
+
+def _close_pairs(
+    points: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` of points closer than ``reach``, each pair
+    once, with their squared distances.
+
+    Vectorized spatial hash: points land in ``reach``-sized cells, so a
+    close pair sits in one cell or in two adjacent ones.  Each round
+    pairs every point with the ``t``-th later point of its own cell or of
+    one forward neighbour cell.
+    """
+    cells = np.floor(points / reach).astype(np.int64)
+    keys = (cells[:, 0] << 32) + cells[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    firsts, seconds = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for offset in (0, *_FORWARD_CELLS):
+        hi = np.searchsorted(keys, keys + offset, "right")
+        if offset:
+            lo = np.searchsorted(keys, keys + offset, "left")
+        else:
+            lo = np.arange(1, len(keys) + 1)
+        counts = hi - lo
+        for t in range(int(counts.max(initial=0))):
+            live = counts > t
+            firsts.append(order[live])
+            seconds.append(order[lo[live] + t])
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    delta = points[first] - points[second]
+    squared = (delta * delta).sum(axis=1)
+    close = squared < reach * reach
+    return first[close], second[close], squared[close]
+
+
+def _within(a: Sequence[float], b: Sequence[float], radius: float) -> bool:
+    """Whether two atoms interact: the dense oracle resolver's arithmetic
+    (sqrt of the coordinate-square sum), so the two agree bit-for-bit at
+    the radius boundary."""
+    return math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) <= radius
+
+
+_Spot = tuple[float, float, int]  # (x, y, id)
+
+
+def _sweep_pairs(spots: list[_Spot], radius: float) -> Iterator[tuple[_Spot, _Spot]]:
+    """Pairs of spots within ``radius``, by a sweep in x order.
+
+    Sorts ``spots`` in place, then compares each with the later ones up
+    to a radius (plus slack) further right.
+    """
+    spots.sort()
+    reach = radius + _SLACK_UM
+    count = len(spots)
+    for k in range(count):
+        spot = spots[k]
+        for j in range(k + 1, count):
+            other = spots[j]
+            if other[0] - spot[0] > reach:
+                break
+            if _within(spot, other, radius):
+                yield spot, other
 
 
 @dataclass(frozen=True)
@@ -108,6 +203,11 @@ class FPQADevice:
         #: :meth:`slm_index_at`, built on its first call after ``@slm``
         #: (only codegen asks, so a replay never pays for it).
         self._slm_key_index: dict[tuple[float, float], int] | None = None
+        #: The SLM layer as the Rydberg resolver sees it, hashed once per
+        #: ``@slm`` (see :meth:`_hash_slm_layer`): radius-sized trap cells
+        #: and the trap pairs within the radius.
+        self._trap_cells: dict[int, list[int]] = {}
+        self._static_pairs: list[tuple[int, int]] = []
         #: Bumped on every mutation that can move an atom; the cluster
         #: cache is valid while the epoch it was computed at still holds.
         self._geometry_epoch = 0
@@ -209,6 +309,12 @@ class FPQADevice:
             return None
         return handler(instruction)
 
+    def handler(self, kind: type) -> Callable[[Any], list[RydbergCluster] | None]:
+        """The bound method :meth:`apply` runs for instructions of type
+        ``kind``; a replay loop with its own dispatch table calls it
+        directly, one call fewer per step."""
+        return self._handlers[kind]
+
     def run(self, instructions: list[FPQAInstruction]) -> None:
         for instruction in instructions:
             self.apply(instruction)
@@ -249,10 +355,18 @@ class FPQADevice:
             self._violation("WL002", "@slm layer is already initialized")
             return
         positions = list(instruction.positions)
-        self._check_spacing(positions)
+        # The Rydberg radius is at least the minimum trap spacing (see
+        # FPQAHardwareParams), so one vectorized pass over the traps at
+        # the radius serves the spacing check and the resolver's static
+        # trap pairs.
+        reach = self.hardware.rydberg_radius_um + _SLACK_UM
+        points = _points(positions, reach)
+        close = None if points is None else _close_pairs(points, reach)
+        self._check_spacing(positions, close)
         self.slm_positions = positions
         self.slm_atoms = [None] * len(positions)
         self._slm_key_index = None
+        self._hash_slm_layer(points, close)
         self._geometry_epoch += 1
 
     def _init_aod(self, instruction: AodInit) -> None:
@@ -276,8 +390,26 @@ class FPQADevice:
         self.aod_row_y = list(instruction.ys)
         self._geometry_epoch += 1
 
-    def _check_spacing(self, positions: list[tuple[float, float]]) -> None:
-        """Pairwise minimum-distance check of SLM traps via a spatial hash (O(n))."""
+    def _check_spacing(
+        self,
+        positions: list[tuple[float, float]],
+        close: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    ) -> None:
+        """Pairwise minimum-distance check of the SLM traps.
+
+        ``close`` holds the trap pairs the vectorized pass found, with
+        their squared distances (``None`` when it could not run).  Only
+        when one of them sits closer than the minimum spacing plus
+        :data:`_SLACK_UM` does the exact loop (:meth:`_report_close_traps`)
+        run, so a valid layout never pays for it and a faulty one is
+        reported with the same findings, in the same order.
+        """
+        limit = (self.hardware.min_trap_spacing_um + _SLACK_UM) ** 2
+        if close is None or bool((close[2] < limit).any()):
+            self._report_close_traps(positions)
+
+    def _report_close_traps(self, positions: list[tuple[float, float]]) -> None:
+        """Report every trap pair closer than the minimum spacing (spatial hash)."""
         spacing = self.hardware.min_trap_spacing_um
         cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
         for x, y in positions:
@@ -352,20 +484,19 @@ class FPQADevice:
 
     def _transfer(self, instruction: Transfer) -> None:
         idx, col, row = instruction.slm_index, instruction.aod_col, instruction.aod_row
-        if not self.slm_positions or not self.aod_col_x:
+        slm, cols, rows = self.slm_positions, self.aod_col_x, self.aod_row_y
+        if not slm or not cols:
             self._violation("WL001", "@transfer before trap layers are initialized")
             return
-        if not 0 <= idx < len(self.slm_positions):
+        if not 0 <= idx < len(slm):
             self._violation("WL024", f"@transfer slm index {idx} out of range")
             return
-        if not (0 <= col < len(self.aod_col_x) and 0 <= row < len(self.aod_row_y)):
+        if not (0 <= col < len(cols) and 0 <= row < len(rows)):
             self._violation(
                 "WL024", f"@transfer aod crossing ({col}, {row}) out of range"
             )
             return
-        slm_pos = self.slm_positions[idx]
-        aod_pos = (self.aod_col_x[col], self.aod_row_y[row])
-        distance = math.dist(slm_pos, aod_pos)
+        distance = math.dist(slm[idx], (cols[col], rows[row]))
         if distance > self.hardware.transfer_max_distance_um:
             # In report mode the handoff still happens: the geometry is
             # wrong, not the occupancy bookkeeping.
@@ -374,14 +505,15 @@ class FPQADevice:
                 f"@transfer between traps {distance:.2f} um apart exceeds the "
                 f"maximum of {self.hardware.transfer_max_distance_um} um",
             )
+        crossing = (col, row)
         slm_atom = self.slm_atoms[idx]
-        aod_atom = self.aod_atoms.get((col, row))
+        aod_atom = self.aod_atoms.get(crossing)
         if slm_atom is not None and aod_atom is None:
             self.slm_atoms[idx] = None
-            self.aod_atoms[(col, row)] = slm_atom
+            self.aod_atoms[crossing] = slm_atom
             self.qubit_location[slm_atom] = ("aod", col, row)
         elif slm_atom is None and aod_atom is not None:
-            del self.aod_atoms[(col, row)]
+            del self.aod_atoms[crossing]
             self.slm_atoms[idx] = aod_atom
             self.qubit_location[aod_atom] = ("slm", idx)
         else:
@@ -398,24 +530,28 @@ class FPQADevice:
     # Shuttling
     # ------------------------------------------------------------------
     def _shuttle(self, moves: Sequence[ShuttleMove]) -> None:
-        # Moves land in copies, committed only after the checks: a
-        # rejected shuttle (raise mode) leaves the grid as it was.
-        new_cols = list(self.aod_col_x)
-        new_rows = list(self.aod_row_y)
-        moved_cols: set[int] = set()
-        moved_rows: set[int] = set()
+        # Moves land in copies of the axes they touch, committed only
+        # after the checks: a rejected shuttle (raise mode) leaves the
+        # grid as it was.
+        new_cols: list[float] | None = None
+        new_rows: list[float] | None = None
+        moved_cols: list[int] = []
+        moved_rows: list[int] = []
         for move in moves:
             if move.axis == "column":
+                if new_cols is None:
+                    new_cols = list(self.aod_col_x)
                 coords, moved = new_cols, moved_cols
             else:
+                if new_rows is None:
+                    new_rows = list(self.aod_row_y)
                 coords, moved = new_rows, moved_rows
-            if not 0 <= move.index < len(coords):
-                self._violation(
-                    "WL010", f"@shuttle {move.axis} {move.index} out of range"
-                )
+            index = move.index
+            if not 0 <= index < len(coords):
+                self._violation("WL010", f"@shuttle {move.axis} {index} out of range")
                 continue
-            coords[move.index] += move.offset
-            moved.add(move.index)
+            coords[index] += move.offset
+            moved.append(index)
         # Every gap held the minimum spacing before this shuttle (the
         # @aod init checks them all, and so did each accepted shuttle),
         # so only a gap with a moved end can break it now.  Checking
@@ -428,6 +564,7 @@ class FPQADevice:
         ):
             if not moved:
                 continue
+            assert coords is not None
             last = len(coords) - 1
             for i in sorted({left for index in moved for left in (index - 1, index)}):
                 if not 0 <= i < last:
@@ -440,8 +577,10 @@ class FPQADevice:
                         f"within {gap:.2f} um (minimum {spacing} um); "
                         "rows/columns may not cross or crowd (Table 1)",
                     )
-        self.aod_col_x = new_cols
-        self.aod_row_y = new_rows
+        if new_cols is not None:
+            self.aod_col_x = new_cols
+        if new_rows is not None:
+            self.aod_row_y = new_rows
         self._geometry_epoch += 1
 
     # ------------------------------------------------------------------
@@ -480,58 +619,94 @@ class FPQADevice:
                 )
         return list(self._cluster_cache)
 
-    def _resolve_spatial_hash(self) -> list[RydbergCluster]:
-        """Connected components via radius-cell hashing (near-linear).
+    def _hash_slm_layer(
+        self,
+        points: np.ndarray | None,
+        close: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    ) -> None:
+        """Hash the static SLM trap layer for the Rydberg resolver.
 
-        Each atom lands in a radius-sized cell; a pair within the radius
-        sits in one cell or in two adjacent ones, so each cell is checked
-        against itself and its four "forward" neighbours, which visits
-        every nearby pair once.  Cells are keyed by one int,
+        Traps land in radius-sized cells keyed by one int,
         ``(cell_x << 32) + cell_y`` (distinct while ``|cell_y| < 2**31``,
-        i.e. for any trap array under kilometres wide), so a neighbour is
-        one addition away.
+        i.e. for any trap array under kilometres wide), so a neighbour
+        cell is one addition away.  The trap pairs within the radius come
+        from the vectorized pass of ``@slm`` (``points`` and ``close``;
+        ``None`` when it could not run), decided by the resolver's exact
+        arithmetic.
         """
-        location = self.qubit_location
-        qubits = sorted(location)
-        slm, cols, rows = self.slm_positions, self.aod_col_x, self.aod_row_y
-        positions = [
-            slm[loc[1]] if loc[0] == "slm" else (cols[loc[1]], rows[loc[2]])
-            for loc in map(location.__getitem__, qubits)
-        ]
+        positions = self.slm_positions
         radius = self.hardware.rydberg_radius_um
-        floor = math.floor
-        cells: dict[int, list[int]] = {}
-        for i, (x, y) in enumerate(positions):
-            key = (floor(x / radius) << 32) + floor(y / radius)
-            members = cells.get(key)
+        if points is None or close is None:
+            floor = math.floor
+            keys = [(floor(x / radius) << 32) + floor(y / radius) for x, y in positions]
+            spots = [(x, y, index) for index, (x, y) in enumerate(positions)]
+            self._static_pairs = [(a[2], b[2]) for a, b in _sweep_pairs(spots, radius)]
+        else:
+            cells = np.floor(points / radius).astype(np.int64)
+            keys = ((cells[:, 0] << 32) + cells[:, 1]).tolist()
+            first, second, squared = close
+            near = squared <= (radius + _SLACK_UM) ** 2
+            self._static_pairs = [
+                (i, j)
+                for i, j in zip(first[near].tolist(), second[near].tolist())
+                if _within(positions[i], positions[j], radius)
+            ]
+        trap_cells: dict[int, list[int]] = {}
+        for index, key in enumerate(keys):
+            members = trap_cells.get(key)
             if members is None:
-                cells[key] = [i]
+                trap_cells[key] = [index]
             else:
-                members.append(i)
-        cells_get = cells.get
+                members.append(index)
+        self._trap_cells = trap_cells
+
+    def _resolve_spatial_hash(self) -> list[RydbergCluster]:
+        """Connected components of the interaction graph (near-linear).
+
+        SLM traps never move, so the trap pairs within the radius are
+        found once per ``@slm`` (:meth:`_hash_slm_layer`) and a pulse keeps
+        those whose traps both hold an atom.  Each AOD-held atom probes
+        the trap cells around its own, and the AOD atoms meet each other
+        in a sweep in x order.  Only the atoms in some pair are sorted
+        and grouped.
+        """
+        trap_cells = self._trap_cells
+        slm, slm_atoms = self.slm_positions, self.slm_atoms
+        cols, rows = self.aod_col_x, self.aod_row_y
+        radius = self.hardware.rydberg_radius_um
         sqrt = math.sqrt
+        #: qubit -> position, for every atom in some interacting pair.
+        position: dict[int, tuple[float, float]] = {}
         pairs: list[tuple[int, int]] = []
-        for key, members in cells.items():
-            if len(members) > 1:
-                for k, i in enumerate(members):
-                    x, y = positions[i]
-                    for j in members[k + 1 :]:
-                        ox, oy = positions[j]
-                        # Same arithmetic as the dense oracle resolver
-                        # (sqrt of the coordinate-square sum), so the
-                        # two agree bit-for-bit at the radius boundary.
-                        if sqrt((x - ox) ** 2 + (y - oy) ** 2) <= radius:
-                            pairs.append((i, j))
-            for offset in _FORWARD_CELLS:
-                others = cells_get(key + offset)
-                if others is None:
-                    continue
-                for i in members:
-                    x, y = positions[i]
-                    for j in others:
-                        ox, oy = positions[j]
-                        if sqrt((x - ox) ** 2 + (y - oy) ** 2) <= radius:
-                            pairs.append((i, j))
+        for i, j in self._static_pairs:
+            a, b = slm_atoms[i], slm_atoms[j]
+            if a is not None and b is not None:
+                pairs.append((a, b))
+                position[a] = slm[i]
+                position[b] = slm[j]
+        floor = math.floor
+        held: list[_Spot] = []
+        for (col, row), qubit in self.aod_atoms.items():
+            x, y = cols[col], rows[row]
+            held.append((x, y, qubit))
+            key = (floor(x / radius) << 32) + floor(y / radius)
+            for offset in _NEIGHBOUR_CELLS:
+                for trap in trap_cells.get(key + offset, ()):
+                    other = slm_atoms[trap]
+                    if other is None:
+                        continue
+                    ox, oy = slm[trap]
+                    # Same arithmetic as the dense oracle resolver (sqrt
+                    # of the coordinate-square sum), so the two agree
+                    # bit-for-bit at the radius boundary.
+                    if sqrt((x - ox) ** 2 + (y - oy) ** 2) <= radius:
+                        pairs.append((qubit, other))
+                        position[qubit] = (x, y)
+                        position[other] = (ox, oy)
+        for (x, y, a), (ox, oy, b) in _sweep_pairs(held, radius):
+            pairs.append((a, b))
+            position[a] = (x, y)
+            position[b] = (ox, oy)
         if not pairs:
             return []
         parent: dict[int, int] = {}
@@ -541,37 +716,29 @@ class FPQADevice:
                 i = up
             return i
 
-        for i, j in pairs:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
         groups: dict[int, list[int]] = {}
-        for i in sorted({i for pair in pairs for i in pair}):
-            groups.setdefault(find(i), []).append(i)
+        for qubit in sorted(position):
+            groups.setdefault(find(qubit), []).append(qubit)
         clusters = []
         tol = self.hardware.equidistance_tolerance_um
         for members in groups.values():
             if len(members) == 2:  # most clusters: no equidistance to check
-                i, j = members
-                clusters.append(
-                    RydbergCluster(
-                        (qubits[i], qubits[j]), (positions[i], positions[j])
-                    )
-                )
+                a, b = members
+                clusters.append(RydbergCluster((a, b), (position[a], position[b])))
                 continue
+            spots = [position[qubit] for qubit in members]
             dists = [
-                sqrt(
-                    (positions[a][0] - positions[b][0]) ** 2
-                    + (positions[a][1] - positions[b][1]) ** 2
-                )
-                for ai, a in enumerate(members)
-                for b in members[ai + 1 :]
+                sqrt((x - ox) ** 2 + (y - oy) ** 2)
+                for k, (x, y) in enumerate(spots)
+                for ox, oy in spots[k + 1 :]
             ]
             clusters.append(
                 RydbergCluster(
-                    tuple([qubits[i] for i in members]),
-                    tuple([positions[i] for i in members]),
-                    max(dists) - min(dists) <= tol,
+                    tuple(members), tuple(spots), max(dists) - min(dists) <= tol
                 )
             )
         clusters.sort(key=lambda c: c.qubits)

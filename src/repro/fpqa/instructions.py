@@ -107,19 +107,14 @@ class Shuttle:
 
 @dataclass(frozen=True)
 class ParallelShuttle:
-    """A set of simultaneous, non-conflicting shuttle moves (Algorithm 2)."""
+    """A set of simultaneous shuttle moves (Algorithm 2).
+
+    A group that moves one row or column twice is representable (a parsed
+    wQasm file may hold one); the device rejects it as WL012
+    (shuttle-parallel-conflict).
+    """
 
     moves: tuple[ShuttleMove, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for move in self.moves:
-            key = (move.axis, move.index)
-            if key in seen:
-                raise FPQAConstraintError(
-                    f"parallel shuttle moves the same {move.axis} {move.index} twice"
-                )
-            seen.add(key)
 
 
 @dataclass(frozen=True)

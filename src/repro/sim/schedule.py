@@ -196,14 +196,18 @@ def _transfer_qubit(converter: PulseToGateConverter, instruction: Transfer) -> i
     """The qubit a transfer moves (resolved before the device mutates).
 
     Exactly one side of the transfer holds an atom (the Table 1
-    pre-condition the device enforces); find it in the replayed state.
+    pre-condition the device enforces); read it from the replayed
+    device's trap occupancy.
     """
     device = converter.device
-    slm_location = ("slm", instruction.slm_index)
-    aod_location = ("aod", instruction.aod_col, instruction.aod_row)
-    for qubit, location in device.qubit_location.items():
-        if location == slm_location or location == aod_location:
+    index = instruction.slm_index
+    if 0 <= index < len(device.slm_atoms):
+        qubit = device.slm_atoms[index]
+        if qubit is not None:
             return qubit
+    qubit = device.aod_atoms.get((instruction.aod_col, instruction.aod_row))
+    if qubit is not None:
+        return qubit
     raise SimulationError(
         f"transfer at SLM {instruction.slm_index} / AOD "
         f"({instruction.aod_col}, {instruction.aod_row}) moves no atom"

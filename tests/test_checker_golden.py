@@ -10,7 +10,8 @@ changes a digest.
 
 The resolver differential replays the clean uf50-01 and uf100-01
 programs and compares the device's clusters at every Rydberg pulse with
-the dense oracle resolver on the real trap layout.
+the dense oracle resolver on the real trap layout.  The last two tests
+pin how the replay stays cheap, by counting work instead of timing it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from oracles.device import resolve_brute_force
 
 import repro
 from repro.analysis.mutations import ALL_MUTATIONS
-from repro.checker import CheckReport, check_program
+from repro.checker import CheckReport, EquivalenceMethod, check_program
+from repro.circuits import Instruction
+from repro.exceptions import FPQAConstraintError
 from repro.fpqa.device import FPQADevice
-from repro.fpqa.instructions import RydbergPulse
+from repro.fpqa.instructions import RydbergPulse, SlmInit
 from repro.sat import satlib_instance
 
 INSTANCES = ("uf20-01", "uf50-01", "uf100-01")
@@ -99,3 +102,43 @@ def test_clusters_match_brute_force_at_every_pulse(compiled, name):
             assert device.resolve_rydberg_clusters() == resolve_brute_force(device)
         device.apply(instruction)
     assert pulses > 0
+
+
+def test_layer_one_builds_no_instruction_above_the_probe_width(compiled, monkeypatch):
+    """uf100-01 is above the probe width: layer 1 matches ``(gate, qubits)``
+    pairs, so no local-Raman operation (nor any other) becomes an
+    :class:`~repro.circuits.Instruction`."""
+    program, reference, hardware = compiled["uf100-01"]
+    built = 0
+    post_init = Instruction.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Instruction, "__post_init__", counting)
+    report = check_program(program, reference=reference, hardware=hardware)
+    assert report.ok and report.reconstructed_method is EquivalenceMethod.TOO_LARGE
+    assert built == 0
+
+
+def test_clean_slm_init_skips_the_exact_spacing_loop(compiled, monkeypatch):
+    """The vectorized pre-pass clears every clean layout; the exact
+    per-pair loop runs only for a layout with a close pair."""
+    exact_runs = 0
+    report_close_traps = FPQADevice._report_close_traps
+
+    def counting(self, positions):
+        nonlocal exact_runs
+        exact_runs += 1
+        report_close_traps(self, positions)
+
+    monkeypatch.setattr(FPQADevice, "_report_close_traps", counting)
+    for name in INSTANCES:
+        program, reference, hardware = compiled[name]
+        assert check_program(program, reference=reference, hardware=hardware).ok
+    assert exact_runs == 0
+    with pytest.raises(FPQAConstraintError, match="minimum spacing"):
+        FPQADevice().apply(SlmInit(((0.0, 0.0), (20.0, 0.0), (3.0, 3.0))))
+    assert exact_runs == 1

@@ -161,10 +161,12 @@ class TestShuttling:
         )
         assert device.aod_col_x == [130.0, 150.0]
 
-    def test_parallel_shuttle_rejects_duplicate_target(self):
+    def test_parallel_shuttle_rejects_duplicate_target(self, device):
         with pytest.raises(FPQAConstraintError):
-            ParallelShuttle(
-                (ShuttleMove("row", 0, 1.0), ShuttleMove("row", 0, 2.0))
+            device.apply(
+                ParallelShuttle(
+                    (ShuttleMove("row", 0, 1.0), ShuttleMove("row", 0, 2.0))
+                )
             )
 
     def test_shuttle_out_of_range_index(self, device):

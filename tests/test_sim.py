@@ -154,6 +154,21 @@ class TestNoiseModel:
             program_eps(program), rel=1e-9
         )
 
+    @pytest.mark.parametrize("slm_index", [0, 5, -1])
+    def test_transfer_that_moves_no_atom_is_rejected(self, slm_index):
+        """Both traps empty, or the SLM index out of range: no qubit moves."""
+        from repro.fpqa import AodInit, SlmInit, Transfer
+        from repro.wqasm.program import AnnotatedOperation, WQasmProgram
+
+        program = WQasmProgram(
+            num_qubits=1,
+            setup=(SlmInit(((0.0, 0.0),)), AodInit((0.0,), (0.0,))),
+            operations=[AnnotatedOperation((Transfer(slm_index, 0, 0),))],
+        )
+        moves_no_atom = rf"SLM {slm_index} / AOD \(0, 0\) moves no atom"
+        with pytest.raises(SimulationError, match=moves_no_atom):
+            schedule_from_program(program)
+
     def test_device_profile_changes_event_rates(self, compiled_small):
         baseline = schedule_from_program(compiled_small.program)
         nextgen = schedule_from_program(

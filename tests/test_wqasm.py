@@ -152,3 +152,41 @@ class TestProgramSerialization:
         program = compiled_paper_example.program
         ops = program.logical_circuit().count_ops()
         assert "ccz" in ops and "cz" in ops and "u3" in ops
+
+
+class TestConflictingShuttleGroup:
+    """A group that moves one line twice parses; the device flags it (WL012)."""
+
+    TEXT = (
+        "OPENQASM 3.0;\n"
+        "@slm [(0.0, 0.0)]\n"
+        "@aod [0.0, 10.0] [0.0]\n"
+        "@bind q0 slm 0\n"
+        "qubit[1] q;\n"
+        "@shuttle column 0 1.0; column 0 2.0\n"
+        "@raman local q0 0.0 0.0 0.0\n"
+        "u3(0.0, 0.0, 0.0) q[0];\n"
+    )
+
+    def test_parses_into_one_group(self):
+        program = parse_wqasm(self.TEXT)
+        (group, _) = program.operations[0].instructions
+        assert group == ParallelShuttle(
+            (ShuttleMove("column", 0, 1.0), ShuttleMove("column", 0, 2.0))
+        )
+
+    def test_lint_reports_exactly_one_wl012(self):
+        from repro.analysis import analyze_program
+
+        report = analyze_program(parse_wqasm(self.TEXT))
+        codes = [d.code for d in report.diagnostics]
+        assert codes.count("WL012") == 1
+
+    def test_checker_reports_an_operation_failure(self):
+        from repro.checker import check_program
+
+        report = check_program(parse_wqasm(self.TEXT))
+        assert not report.ok
+        assert report.operation_failures == [
+            "op 0: parallel shuttle moves the same column 0 twice"
+        ]
