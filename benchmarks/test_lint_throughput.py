@@ -6,10 +6,12 @@ all three measured in the same process as the best of several repeats,
 so the ratios are immune to host speed:
 
 * ``weaver lint`` takes at most **0.5x** a warm compile (measured
-  0.27-0.29x on a 2-vCPU VM, a >=1.7x margin);
+  0.27-0.29x alone on a 2-vCPU VM and 0.19-0.38x inside full test runs,
+  a >=1.3x margin);
 * the wChecker's ``check_program`` takes at most **1.0x** a warm compile
-  (measured 0.22-0.23x, a >=4x margin; a checker that converts and
-  matches every pulse again reads 2.1-2.5x and fails).
+  (measured 0.22-0.23x alone and 0.25-0.37x inside full test runs, a
+  >=2.7x margin; a checker that converts and matches every pulse again
+  reads 2.1-2.5x and fails).
 
 The two layers are not pinned against each other: both replay the
 program through the same ``FPQADevice``, the checker costs ~0.8x lint
