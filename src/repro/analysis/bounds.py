@@ -48,10 +48,7 @@ def check_bounds(
     fields); missing or ``None`` entries are simply not compared.
     """
     location = SourceLocation()
-    cost = cost_model_for(hardware)
-    pulses = program.total_pulses
-    duration_us = cost.program_duration_us(program)
-    eps = cost.program_eps(program, duration_us)
+    pulses, duration_us, eps = cost_model_for(hardware).program_cost(program)
 
     recorded_pulses = expected.get("num_pulses")
     if recorded_pulses is not None and recorded_pulses != pulses:

@@ -17,7 +17,7 @@ See :mod:`repro.devices.profile` for the schema and validation rules,
 ``devices/specs/`` for the built-in machines.
 """
 
-from .cost import FPQACostModel, cost_model_for
+from .cost import FPQACostModel, ProgramCost, cost_model_for
 from .loader import load_spec_file, profile_from_spec
 from .profile import DeviceProfile
 from .registry import (
@@ -31,6 +31,7 @@ from .registry import (
 __all__ = [
     "DeviceProfile",
     "FPQACostModel",
+    "ProgramCost",
     "cost_model_for",
     "device_info",
     "get_device",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 from ..exceptions import FPQAConstraintError
 from ..fpqa.hardware import FPQAHardwareParams
@@ -29,7 +30,7 @@ from ..fpqa.instructions import (
     SlmInit,
     Transfer,
 )
-from ..wqasm.program import WQasmProgram
+from ..wqasm.program import AnnotatedOperation, WQasmProgram
 
 #: Cluster sizes whose log-fidelity is table-driven; larger clusters fall
 #: back to the multiplicative-degradation formula (they never occur in
@@ -37,12 +38,21 @@ from ..wqasm.program import WQasmProgram
 _CLUSTER_TABLE_SIZE = 8
 
 
+class ProgramCost(NamedTuple):
+    """What one walk of a program derives (:meth:`FPQACostModel.program_cost`)."""
+
+    total_pulses: int
+    duration_us: float
+    eps: float
+
+
 class FPQACostModel:
     """Per-device timing and error tables for FPQA program evaluation.
 
-    Construction resolves every hardware-derived constant once; the
-    ``program_duration_us``/``program_eps`` walks then touch only plain
-    float attributes and isinstance checks.
+    Construction resolves every hardware-derived constant once; the one
+    program walk behind ``program_cost``, ``program_duration_us`` and
+    ``program_eps`` then touches only plain float attributes and type
+    checks.
     """
 
     def __init__(self, hardware: FPQAHardwareParams):
@@ -89,6 +99,15 @@ class FPQACostModel:
     # ------------------------------------------------------------------
     # Program evaluation (the semantics of repro.metrics, table-driven)
     # ------------------------------------------------------------------
+    def program_cost(self, program: WQasmProgram) -> ProgramCost:
+        """Pulse count, duration and EPS of ``program`` in one walk.
+
+        The three numbers equal ``program.total_pulses``,
+        :meth:`program_duration_us` and :meth:`program_eps`, bit for bit.
+        """
+        pulses, duration_us, log_eps = self._walk(program)
+        return ProgramCost(pulses, duration_us, self._eps(program, log_eps, duration_us))
+
     def program_duration_us(self, program: WQasmProgram) -> float:
         """Total wall-clock duration in microseconds (paper §8.3).
 
@@ -96,37 +115,7 @@ class FPQACostModel:
         batch into one window, a parallel shuttle costs its longest move,
         and measured programs end with one readout.
         """
-        total = 0.0
-        previous_was_transfer = False
-        for instruction in program.fpqa_instructions():
-            if isinstance(instruction, Transfer):
-                if not previous_was_transfer:
-                    total += self.transfer_us
-                previous_was_transfer = True
-                continue
-            previous_was_transfer = False
-            if isinstance(instruction, RamanLocal):
-                total += self.raman_local_us
-            elif isinstance(instruction, RamanGlobal):
-                total += self.raman_global_us
-            elif isinstance(instruction, RydbergPulse):
-                total += self.rydberg_us
-            elif isinstance(instruction, Shuttle):
-                move = instruction.move
-                total += self.shuttle_us(move.offset, loaded=move.loaded)
-            elif isinstance(instruction, ParallelShuttle):
-                if instruction.moves:
-                    total += max(
-                        self.shuttle_us(move.offset, loaded=move.loaded)
-                        for move in instruction.moves
-                    )
-            elif isinstance(instruction, (SlmInit, AodInit, BindAtom)):
-                pass  # setup happens before the circuit clock starts
-            else:
-                raise FPQAConstraintError(f"unknown instruction {instruction!r}")
-        if program.measured:
-            total += self.measurement_us
-        return total
+        return self._walk(program)[1]
 
     def program_eps(
         self, program: WQasmProgram, duration_us: float | None = None
@@ -139,30 +128,111 @@ class FPQACostModel:
         idle decoherence over the program duration and a readout term for
         measured programs.
         """
-        log_eps = 0.0
-        previous_was_transfer = False
-        for operation in program.operations:
-            for instruction in operation.instructions:
-                is_transfer = isinstance(instruction, Transfer)
-                if is_transfer and not previous_was_transfer:
-                    log_eps += self.log_transfer
-                previous_was_transfer = is_transfer
-                if isinstance(instruction, RamanLocal):
-                    log_eps += self.log_raman_local
-                elif isinstance(instruction, RamanGlobal):
-                    log_eps += self.log_raman_global
-                elif isinstance(instruction, RydbergPulse):
-                    largest = max(
-                        (len(gate.qubits) for gate in operation.gates), default=0
-                    )
-                    if largest >= 2:
-                        log_eps += self.cluster_log_fidelity(largest)
         if duration_us is None:
-            duration_us = self.program_duration_us(program)
+            _, duration_us, log_eps = self._walk(program)
+        else:
+            log_eps = self._walk(program, timed=False)[2]
+        return self._eps(program, log_eps, duration_us)
+
+    def _eps(self, program: WQasmProgram, log_eps: float, duration_us: float) -> float:
+        """EPS from the pulse log-fidelity sum and the program duration."""
         log_eps += -duration_us * program.num_qubits * self._inv_t2
         if program.measured:
             log_eps += program.num_qubits * self.log_measurement
         return math.exp(log_eps)
+
+    def _walk(
+        self, program: WQasmProgram, timed: bool = True
+    ) -> tuple[int, float, float]:
+        """``(pulses, duration_us, pulse log-fidelity)``, each summed in
+        instruction order; with ``timed`` false the duration leaves out
+        the shuttles (their moves are the costly part of the walk).
+
+        The duration and the pulse count read the setup too, while the
+        error terms come from the operations alone: the setup goes first
+        as an operation without gates, and its error terms are dropped.
+        Shuttles count as elementary moves, so a parallel batch counts
+        each of its moves as one pulse.  Instructions dispatch on their
+        exact type; a subclass of an instruction kind takes its base's
+        branch through :func:`_kind_of`.
+        """
+        transfer_us, log_transfer = self.transfer_us, self.log_transfer
+        raman_local_us, log_raman_local = self.raman_local_us, self.log_raman_local
+        loaded_scale, empty_inv_speed = self._loaded_scale, self._empty_inv_speed
+        settle_us, sqrt = self.settle_us, math.sqrt
+        pulses = 0
+        duration_us = 0.0
+        log_eps = 0.0
+        # Consecutive transfers cost one window and one error term; the
+        # duration's batch runs on from the setup, the error terms' not.
+        timed_transfer = rated_transfer = False
+        setup = AnnotatedOperation(program.setup)
+        for operation in (setup, *program.operations):
+            for instruction in operation.instructions:
+                kind = type(instruction)
+                if kind not in _KINDS:
+                    kind = _kind_of(instruction)
+                if kind is Transfer:
+                    pulses += 1
+                    if not timed_transfer:
+                        duration_us += transfer_us
+                    if not rated_transfer:
+                        log_eps += log_transfer
+                    timed_transfer = rated_transfer = True
+                    continue
+                timed_transfer = rated_transfer = False
+                if kind is RamanLocal:
+                    pulses += 1
+                    duration_us += raman_local_us
+                    log_eps += log_raman_local
+                elif kind is Shuttle or kind is ParallelShuttle:
+                    moves = (instruction.move,) if kind is Shuttle else instruction.moves
+                    pulses += len(moves)
+                    if timed and moves:
+                        # shuttle_us, inline: the same float operations.
+                        duration_us += max(
+                            [
+                                loaded_scale * sqrt(abs(move.offset)) + settle_us
+                                if move.loaded
+                                else abs(move.offset) * empty_inv_speed + settle_us
+                                for move in moves
+                            ]
+                        )
+                elif kind is RydbergPulse:
+                    pulses += 1
+                    duration_us += self.rydberg_us
+                    largest = max(
+                        [len(gate.qubits) for gate in operation.gates], default=0
+                    )
+                    if largest >= 2:
+                        log_eps += self.cluster_log_fidelity(largest)
+                elif kind is RamanGlobal:
+                    pulses += 1
+                    duration_us += self.raman_global_us
+                    log_eps += self.log_raman_global
+                # SlmInit, AodInit, BindAtom: setup happens before the
+                # circuit clock starts.
+            if operation is setup:
+                log_eps = 0.0
+                rated_transfer = False
+        if program.measured:
+            duration_us += self.measurement_us
+        return pulses, duration_us, log_eps
+
+
+#: The instruction kinds :meth:`FPQACostModel._walk` dispatches on.
+_KINDS = frozenset(
+    (Transfer, RamanLocal, Shuttle, ParallelShuttle, RydbergPulse, RamanGlobal,
+     SlmInit, AodInit, BindAtom)
+)
+
+
+def _kind_of(instruction) -> type:
+    """The instruction kind ``instruction`` is an instance of."""
+    for kind in _KINDS:
+        if isinstance(instruction, kind):
+            return kind
+    raise FPQAConstraintError(f"unknown instruction {instruction!r}")
 
 
 @functools.lru_cache(maxsize=64)

@@ -21,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..circuits import Instruction, QuantumCircuit
+from ..circuits import Instruction
 from ..circuits.euler import zyx_euler_angles
 from ..circuits.gates import Gate, gate_matrix, make_gate, u3_from_matrix
 from ..exceptions import CompilationError
@@ -41,7 +41,7 @@ from ..fpqa.instructions import (
     SlmInit,
     Transfer,
 )
-from ..qaoa.builder import QaoaParameters, qaoa_circuit
+from ..qaoa.builder import QaoaParameters, QaoaReference
 from ..sat.cnf import CnfFormula
 from ..wqasm.program import AnnotatedOperation, WQasmProgram
 from .base import CompilationContext, PassManager
@@ -106,7 +106,9 @@ class WeaverCompilationResult:
 
     program: WQasmProgram
     context: CompilationContext
-    native_circuit: QuantumCircuit
+    #: The reference QAOA circuit, kept as formula and angles; its gates
+    #: are built on first read (see :class:`~repro.qaoa.QaoaReference`).
+    native_circuit: QaoaReference
     compile_seconds: float
     #: JSON-safe per-pass / per-primitive performance profile.
     profile: dict | None = None
@@ -707,9 +709,6 @@ class FPQACompiler:
         codegen_start = time.perf_counter()
         program = generator.generate(measure=measure)
         profiler.add_pass("codegen", time.perf_counter() - codegen_start)
-        native_start = time.perf_counter()
-        native = qaoa_circuit(formula, parameters, measure=False)
-        profiler.add_pass("reference-circuit", time.perf_counter() - native_start)
         profiler.set_cache(
             "rydberg_clusters",
             hits=generator.device.cluster_cache_hits,
@@ -721,7 +720,7 @@ class FPQACompiler:
         return WeaverCompilationResult(
             program=program,
             context=context,
-            native_circuit=native,
+            native_circuit=QaoaReference(formula, parameters),
             compile_seconds=elapsed,
             profile=profile,
         )

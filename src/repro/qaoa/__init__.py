@@ -13,7 +13,7 @@ from .cost import (
     monomial_rotation,
 )
 from .mixer import initialization_circuit, mixer_circuit
-from .builder import QaoaParameters, qaoa_circuit
+from .builder import QaoaParameters, QaoaReference, qaoa_circuit
 from .energy import expected_unsatisfied, formula_energies, sample_best_assignment
 from .optimizer import (
     OptimizationResult,
@@ -25,6 +25,7 @@ from .optimizer import (
 __all__ = [
     "OptimizationResult",
     "QaoaParameters",
+    "QaoaReference",
     "clause_cost_circuit",
     "compressed_clause_circuit",
     "coordinate_descent",

@@ -56,3 +56,39 @@ def qaoa_circuit(
     if measure:
         circuit.measure_all()
     return circuit
+
+
+class QaoaReference(QuantumCircuit):
+    """The reference QAOA circuit of ``formula``, built on first use.
+
+    The specification of the circuit is the formula and the angles: its
+    width and name are set here, and its gates come from
+    :func:`qaoa_circuit` (without measurements) on the first read of
+    ``instructions``.  A wChecker run above the equivalence-check size
+    limit reads only the width, so most references are never expanded.
+
+    It pickles as ``(formula, parameters)`` whether or not its gates were
+    built.  Two threads racing on the first read build the same gates and
+    either list is kept, so no lock is needed.  Treat it as read-only:
+    pickling does not carry gates appended to it.
+    """
+
+    def __init__(self, formula: CnfFormula, parameters: QaoaParameters | None = None):
+        # Not QuantumCircuit.__init__: it would assign an empty gate list.
+        self.num_qubits = formula.num_vars
+        self.num_clbits = 0
+        self.name = f"qaoa-{formula.name}"
+        self.formula = formula
+        self.parameters = parameters or QaoaParameters()
+        self._instructions = None
+
+    @property
+    def instructions(self) -> list:
+        gates = self._instructions
+        if gates is None:
+            gates = qaoa_circuit(self.formula, self.parameters).instructions
+            self._instructions = gates
+        return gates
+
+    def __reduce__(self):
+        return (QaoaReference, (self.formula, self.parameters))

@@ -116,18 +116,16 @@ class FPQATarget(Target):
         if deadline is not None:
             deadline.check()
         program = result.program
-        cost = cost_model_for(self.hardware)
-        duration_us = cost.program_duration_us(program)
-        eps = cost.program_eps(program, duration_us)
+        cost = cost_model_for(self.hardware).program_cost(program)
         return CompilationResult(
             target=self.name,
             workload=workload.name,
             num_qubits=formula.num_vars,
             num_clauses=formula.num_clauses,
             compile_seconds=result.compile_seconds,
-            execution_seconds=duration_us * 1e-6,
-            eps=eps,
-            num_pulses=program.total_pulses,
+            execution_seconds=cost.duration_us * 1e-6,
+            eps=cost.eps,
+            num_pulses=cost.total_pulses,
             program=program,
             native_circuit=result.native_circuit,
             stats=dict(result.stats),

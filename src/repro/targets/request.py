@@ -145,11 +145,17 @@ def workload_to_payload(workload: Workload) -> dict:
     if workload.formula is not None:
         from ..sat.dimacs import to_dimacs
 
-        return {
+        payload = {
             "kind": "cnf",
             "name": workload.name,
             "text": to_dimacs(workload.formula),
         }
+        # DIMACS has no clause weights; a weighted MAX-SAT formula lists
+        # them beside the text (plain formulas keep their three fields).
+        weights = [clause.weight for clause in workload.formula.clauses]
+        if any(weight != 1.0 for weight in weights):
+            payload["weights"] = weights
+        return payload
     from ..qasm import circuit_to_qasm
 
     return {
@@ -172,7 +178,10 @@ def payload_to_workload(payload: Any) -> Workload:
         from ..sat.dimacs import parse_dimacs
 
         try:
-            return Workload.from_formula(parse_dimacs(text, name=name), name=name)
+            formula = parse_dimacs(text, name=name)
+            if "weights" in payload:
+                formula = _weighted(formula, payload["weights"])
+            return Workload.from_formula(formula, name=name)
         except WeaverError as exc:
             raise WorkloadError(f"bad CNF workload payload: {exc}") from exc
     if kind == "qasm":
@@ -181,6 +190,22 @@ def payload_to_workload(payload: Any) -> Workload:
         except WeaverError as exc:
             raise WorkloadError(f"bad QASM workload payload: {exc}") from exc
     raise ProtocolError(f"unknown workload kind {kind!r}; expected 'cnf' or 'qasm'")
+
+
+def _weighted(formula, weights: Any):
+    """``formula`` with clause ``i`` weighted ``weights[i]``."""
+    from ..sat.cnf import Clause, CnfFormula
+
+    if not isinstance(weights, list) or len(weights) != formula.num_clauses or not all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
+    ):
+        raise WorkloadError(
+            f"'weights' must list one number per clause ({formula.num_clauses})"
+        )
+    clauses = [
+        Clause(clause.literals, weight) for clause, weight in zip(formula.clauses, weights)
+    ]
+    return CnfFormula(num_vars=formula.num_vars, clauses=clauses, name=formula.name)
 
 
 def _canonical_device(device: Any) -> Any:

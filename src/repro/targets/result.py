@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..exceptions import WeaverError
+from ..qaoa.builder import QaoaParameters, QaoaReference
 from ..qasm.loader import qasm_to_circuit
 from ..telemetry.trace import span as _span
 from ..wqasm.program import WQasmProgram, parse_wqasm
@@ -59,12 +61,56 @@ _FIELD_TYPES: dict[str, tuple[type, ...]] = {
     "execution": (dict, _NONE),
     "analysis": (dict, _NONE),
     "program_wqasm": (str, _NONE),
+    "reference": (dict, _NONE),
     "native_qasm": (str, _NONE),
 }
 
 #: The value of a field an artifact leaves out, where not ``None``
 #: (``stats`` defaults to a fresh dict per result).
 _DEFAULTS: dict[str, Any] = {"compile_seconds": 0.0, "timed_out": False}
+
+
+def _reference_to_payload(reference: QaoaReference) -> dict:
+    """The artifact form of an FPQA reference: the formula in its wire
+    form (:func:`~repro.targets.request.workload_to_payload`) plus the
+    QAOA angles."""
+    from .request import workload_to_payload
+    from .workload import Workload
+
+    payload = workload_to_payload(Workload.from_formula(reference.formula))
+    payload["gammas"] = jsonify(reference.parameters.gammas)
+    payload["betas"] = jsonify(reference.parameters.betas)
+    return payload
+
+
+def _reference_from_payload(payload: dict, num_qubits: int) -> QaoaReference:
+    """Decode :func:`_reference_to_payload`; ``ValueError`` for a field of
+    the wrong shape or a formula that does not parse or fit the result."""
+    from .request import payload_to_workload
+
+    if payload.get("kind") != "cnf":
+        raise ValueError(
+            f"artifact field 'reference' holds kind {payload.get('kind')!r}, not 'cnf'"
+        )
+    angles = {}
+    for name in ("gammas", "betas"):
+        values = payload.get(name)
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f"artifact field 'reference' needs a number list {name!r}")
+        angles[name] = tuple(values)
+    try:
+        parameters = QaoaParameters(**angles)
+        formula = payload_to_workload(payload).formula
+    except WeaverError as exc:
+        raise ValueError(f"artifact field 'reference': {exc}") from exc
+    if formula.num_vars != num_qubits:
+        raise ValueError(
+            f"artifact field 'reference' has {formula.num_vars} variables "
+            f"for a {num_qubits}-qubit result"
+        )
+    return QaoaReference(formula, parameters)
 
 
 @dataclass
@@ -88,7 +134,10 @@ class CompilationResult:
     error: str | None = None
     #: The emitted wQasm program, for targets that produce one (FPQA).
     program: WQasmProgram | None = None
-    #: The hardware-agnostic reference circuit, when the target builds one.
+    #: The hardware-agnostic reference circuit, when the target builds
+    #: one: the compiled circuit of a gate-level target, and for FPQA
+    #: targets a :class:`~repro.qaoa.QaoaReference` (formula and angles,
+    #: gates built on first read).
     native_circuit: Any = None
     #: Per-pass statistics and backend-specific extras.
     stats: dict = field(default_factory=dict)
@@ -142,9 +191,11 @@ class CompilationResult:
         }
         if include_program and self.program is not None:
             payload["program_wqasm"] = self.program.to_wqasm()
-        if include_program and self.native_circuit is not None:
-            # Preserve the verification reference across the cache, so a
-            # disk hit can still be checked against the original circuit.
+        # Preserve the verification reference across the cache, so a disk
+        # hit can still be checked against the original circuit.
+        if include_program and isinstance(self.native_circuit, QaoaReference):
+            payload["reference"] = _reference_to_payload(self.native_circuit)
+        elif include_program and self.native_circuit is not None:
             try:
                 from ..qasm import circuit_to_qasm
 
@@ -191,12 +242,23 @@ class CompilationResult:
                 raise ValueError(f"artifact field 'device_profile': {exc}") from exc
         text = fields.pop("program_wqasm")
         native_text = fields.pop("native_qasm")
+        reference = fields.pop("reference")
+        if text and reference is None:
+            raise ValueError(
+                "artifact holds a wQasm program but no 'reference' (written "
+                "before references were stored as formula and angles)"
+            )
         with _span("targets.decode"):
+            native_circuit = None
+            if reference is not None:
+                with _span("reference.decode"):
+                    native_circuit = _reference_from_payload(
+                        reference, fields["num_qubits"]
+                    )
             program = None
             if text:
                 with _span("wqasm.decode"):
                     program = parse_wqasm(text, name=fields["workload"])
-            native_circuit = None
             if native_text:
                 with _span("qasm.decode"):
                     native_circuit = qasm_to_circuit(native_text, name=fields["workload"])

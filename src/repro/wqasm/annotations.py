@@ -88,11 +88,32 @@ def _move_text(move: ShuttleMove) -> str:
     return f"{move.axis} {move.index} {move.offset!r}{suffix}"
 
 
-def annotation_to_instruction(annotation: Annotation) -> FPQAInstruction:
+def _shuttle_move(chunk: str, content: str) -> ShuttleMove:
+    """One move of the ``@shuttle`` payload ``content``."""
+    parts = chunk.split()
+    loaded = True
+    if len(parts) == 4 and parts[3] == "empty":
+        loaded = False
+        parts = parts[:3]
+    if len(parts) != 3 or parts[0] not in ("row", "column"):
+        raise AnnotationError(f"malformed @shuttle payload: {content!r}")
+    return ShuttleMove(
+        parts[0],
+        _number(parts[1], int, "@shuttle"),
+        _number(parts[2], float, "@shuttle"),
+        loaded=loaded,
+    )
+
+
+def annotation_to_instruction(
+    annotation: Annotation, moves: dict[str, ShuttleMove] | None = None
+) -> FPQAInstruction:
     """Decode one ``@keyword content`` annotation into an instruction.
 
     Every malformed payload raises :class:`AnnotationError`, including a
-    number that does not convert (``@shuttle row 0 abc``).
+    number that does not convert (``@shuttle row 0 abc``).  ``moves``
+    memoizes ``@shuttle`` moves by their text across calls (a parse
+    passes one table, so a move shared by many batches decodes once).
     """
     keyword = annotation.keyword
     content = annotation.content.strip()
@@ -146,26 +167,17 @@ def annotation_to_instruction(annotation: Annotation) -> FPQAInstruction:
             aod_row=_number(match.group(3), int, "@transfer"),
         )
     if keyword == "shuttle":
-        moves = []
+        if moves is None:
+            moves = {}
+        batch = []
         for chunk in content.split(";"):
-            parts = chunk.split()
-            loaded = True
-            if len(parts) == 4 and parts[3] == "empty":
-                loaded = False
-                parts = parts[:3]
-            if len(parts) != 3 or parts[0] not in ("row", "column"):
-                raise AnnotationError(f"malformed @shuttle payload: {content!r}")
-            moves.append(
-                ShuttleMove(
-                    parts[0],
-                    _number(parts[1], int, "@shuttle"),
-                    _number(parts[2], float, "@shuttle"),
-                    loaded=loaded,
-                )
-            )
-        if len(moves) == 1:
-            return Shuttle(moves[0])
-        return ParallelShuttle(tuple(moves))
+            move = moves.get(chunk)
+            if move is None:
+                move = moves[chunk] = _shuttle_move(chunk, content)
+            batch.append(move)
+        if len(batch) == 1:
+            return Shuttle(batch[0])
+        return ParallelShuttle(tuple(batch))
     if keyword == "raman":
         parts = content.split()
         if len(parts) == 4 and parts[0] == "global":

@@ -21,6 +21,7 @@ from ..fpqa.instructions import (
     RamanLocal,
     RydbergPulse,
     Shuttle,
+    ShuttleMove,
     Transfer,
 )
 from ..qasm.ast import Annotation
@@ -148,12 +149,15 @@ def parse_wqasm(source: str, name: str = "wqasm") -> WQasmProgram:
     and EPS — matches the serialized program exactly.
 
     Each distinct statement text is decoded once per call: the parser,
-    the loader and the annotation codec each keep a table for the call,
-    and textual twins share the frozen values those tables hold.
+    the loader and the annotation codec each keep a table for the call
+    (the codec a second one for ``@shuttle`` moves, which recur across
+    batches), and textual twins share the frozen values those tables
+    hold.
 
     A malformed annotation raises :class:`AnnotationError` naming its line.
     """
     instructions_of: dict[Annotation, FPQAInstruction] = {}
+    moves_of: dict[str, ShuttleMove] = {}
 
     def decode(annotations: Iterable[Annotation]) -> list[FPQAInstruction]:
         instructions = []
@@ -161,7 +165,7 @@ def parse_wqasm(source: str, name: str = "wqasm") -> WQasmProgram:
             instruction = instructions_of.get(annotation)
             if instruction is None:
                 try:
-                    instruction = annotation_to_instruction(annotation)
+                    instruction = annotation_to_instruction(annotation, moves_of)
                 except AnnotationError as exc:
                     raise AnnotationError(str(exc), annotation_line(source, annotation)) from exc
                 instructions_of[annotation] = instruction

@@ -26,4 +26,8 @@ race the current code against them in the same run.
 the ``formula_polynomial`` that folded clause polynomials with ``+``
 (``test_sat.py::TestPolynomialDifferential``); both left the reference
 and device replay paths of the FPQA compile.
+
+``cost`` holds the three program walks (pulse count, duration, EPS) the
+FPQA cost model ran before its single pass
+(``test_metrics.py::TestProgramCostDifferential``).
 """

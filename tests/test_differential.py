@@ -188,7 +188,8 @@ FRONT_END_CELLS = (
 
 def _artifact_text(result) -> tuple:
     payload = result.to_dict()
-    return payload.get("program_wqasm"), payload.get("native_qasm")
+    reference = json.dumps(payload.get("reference"), sort_keys=True)
+    return payload.get("program_wqasm"), reference, payload.get("native_qasm")
 
 
 async def _service_round(store_dir, formula, target, device):
@@ -216,7 +217,7 @@ def test_front_ends_agree_on_bytes_and_key(spec, target, device, tmp_path):
     assert job.key == key and not job.from_cache
 
     texts = {_artifact_text(result) for result in (direct, row, served)}
-    assert len(texts) == 1 and next(iter(texts)) != (None, None)
+    assert len(texts) == 1 and next(iter(texts)) != (None, "null", None)
 
     # A session directory serves the service, and the reverse.
     job, _ = asyncio.run(_service_round(session_dir, formula, target, device))

@@ -111,3 +111,80 @@ class TestComplexity:
 
     def test_dpqa_small_value_exact(self):
         assert dpqa_steps(4) == pytest.approx(16.0)
+
+
+class TestProgramCostDifferential:
+    """The single cost walk returns what the three separate walks did
+    (``oracles/cost.py``), bit for bit."""
+
+    @pytest.fixture(scope="class", params=["uf20-01", "uf50-01", "uf100-01"])
+    def programs(self, request):
+        import repro
+
+        formula = repro.satlib_instance(request.param)
+        return [
+            (target, repro.compile(formula, target=target))
+            for target in ("fpqa", "fpqa-nocompress")
+        ]
+
+    def test_one_walk_equals_three(self, programs):
+        from oracles.cost import program_cost as three_walks
+
+        from repro.devices import cost_model_for
+
+        for target, result in programs:
+            model = cost_model_for(result.fpqa_hardware() or FPQAHardwareParams())
+            expected = three_walks(model, result.program)
+            assert tuple(model.program_cost(result.program)) == expected, target
+            assert model.program_duration_us(result.program) == expected[1]
+            assert model.program_eps(result.program) == expected[2]
+            assert (
+                result.num_pulses,
+                result.execution_seconds,
+                result.eps,
+            ) == (expected[0], expected[1] * 1e-6, expected[2])
+
+    def test_setup_transfer_starts_no_error_batch(self, programs):
+        """A transfer in the setup costs time but no error term, and the
+        error terms' transfer batch starts afresh at the operations."""
+        from dataclasses import replace
+
+        from oracles.cost import program_cost as three_walks
+
+        from repro.devices import cost_model_for
+        from repro.fpqa.instructions import Transfer
+
+        _, result = programs[0]
+        transfers = [
+            instruction
+            for operation in result.program.operations
+            for instruction in operation.instructions
+            if isinstance(instruction, Transfer)
+        ]
+        program = replace(result.program, setup=result.program.setup + tuple(transfers[:2]))
+        model = cost_model_for(FPQAHardwareParams())
+        assert tuple(model.program_cost(program)) == three_walks(model, program)
+
+    def test_subclass_dispatches_as_its_kind_and_unknown_raises(self, programs):
+        from dataclasses import dataclass, replace
+
+        from oracles.cost import program_cost as three_walks
+
+        from repro.devices import cost_model_for
+        from repro.exceptions import FPQAConstraintError
+        from repro.fpqa.instructions import RamanLocal
+        from repro.wqasm.program import AnnotatedOperation
+
+        @dataclass(frozen=True)
+        class TaggedRaman(RamanLocal):
+            pass
+
+        _, result = programs[0]
+        model = cost_model_for(FPQAHardwareParams())
+        tagged = AnnotatedOperation((TaggedRaman(0, 0.1, 0.2, 0.3),))
+        program = replace(result.program, operations=[*result.program.operations, tagged])
+        assert tuple(model.program_cost(program)) == three_walks(model, program)
+        unknown = AnnotatedOperation((object(),))
+        program = replace(result.program, operations=[*result.program.operations, unknown])
+        with pytest.raises(FPQAConstraintError, match="unknown instruction"):
+            model.program_cost(program)

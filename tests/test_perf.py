@@ -207,6 +207,34 @@ class TestSemanticsPreserved:
         text = circuit_to_qasm(compiled[case].native_circuit)
         assert hashlib.sha256(text.encode()).hexdigest() == self.NATIVE_GOLDEN[case]
 
+    @pytest.mark.parametrize("case", sorted(NATIVE_GOLDEN))
+    def test_reference_survives_artifact_and_pickle(self, case, compiled, tmp_path):
+        """The lazy reference comes back as the same circuit through
+        ``to_dict``/``from_dict``, a disk store and pickle."""
+        import pickle
+
+        from repro.service import ArtifactStore
+
+        compiled_case = compiled[case]
+        expected = circuit_to_qasm(compiled_case.native_circuit)
+        result = repro.CompilationResult(
+            target="fpqa",
+            workload=compiled_case.program.name,
+            num_qubits=compiled_case.program.num_qubits,
+            program=compiled_case.program,
+            native_circuit=compiled_case.native_circuit,
+        )
+        decoded = repro.CompilationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        ArtifactStore(directory=tmp_path).put("k" * 64, result)
+        stored = ArtifactStore(directory=tmp_path).get("k" * 64)
+        # Pickled with its gates built, and (the decoded one) before.
+        pickled = [
+            pickle.loads(pickle.dumps(reference))
+            for reference in (compiled_case.native_circuit, decoded.native_circuit)
+        ]
+        for circuit in (decoded.native_circuit, stored.native_circuit, *pickled):
+            assert circuit_to_qasm(circuit) == expected
+
     def test_caches_fire(self, result):
         caches = result.profile["caches"]
         assert caches["raman_angles"]["hits"] > 0
@@ -255,6 +283,30 @@ class TestClosedFormEuler:
             zyx_euler_angles(np.zeros((2, 2)))
         with pytest.raises(CircuitError):
             zyx_euler_angles(np.eye(3))
+
+
+# ----------------------------------------------------------------------
+# Decode tables
+# ----------------------------------------------------------------------
+def test_parse_decodes_each_distinct_shuttle_move_once(monkeypatch):
+    import repro.wqasm.annotations as codec
+    from repro.wqasm import parse_wqasm
+
+    text = repro.compile(repro.satlib_instance("uf50-01"), target="fpqa").program.to_wqasm()
+    made = []
+    real = codec.ShuttleMove
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "ShuttleMove", counting)
+    parsed = parse_wqasm(text)
+    prefix = "@shuttle "
+    distinct_batches = {line[len(prefix):] for line in text.splitlines() if line.startswith(prefix)}
+    chunks = [chunk for batch in distinct_batches for chunk in batch.split(";")]
+    assert len(made) == len(set(chunks)) < len(chunks)
+    assert parsed.to_wqasm() == text
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ import repro
 from oracles.lexer import tokenize as oracle_tokenize
 from oracles.parser import parse_qasm as oracle_parse
 from repro.exceptions import AnnotationError, QasmSyntaxError, WeaverError
-from repro.qasm import Annotation, load_circuit, parse_qasm, tokenize
+from repro.qasm import Annotation, circuit_to_qasm, load_circuit, parse_qasm, tokenize
 from repro.wqasm import parse_wqasm
 
 TESTS = Path(__file__).resolve().parent
@@ -188,7 +188,7 @@ def test_fpqa_artifacts(fpqa_results):
     for i, result in enumerate(fpqa_results):
         payload = result.to_dict()
         assert_same_front_end(payload["program_wqasm"], lex=i == 0)
-        assert_same_front_end(payload["native_qasm"], lex=i == 0)
+        assert_same_front_end(circuit_to_qasm(result.native_circuit), lex=i == 0)
 
 
 def test_superconducting_output():

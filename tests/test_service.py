@@ -214,7 +214,7 @@ class TestArtifactStore:
         # The junk file is gone: later probes cannot keep re-reading it.
         assert not (directory / "bad.json").exists()
 
-    @pytest.mark.parametrize("field", ["program_wqasm", "native_qasm"])
+    @pytest.mark.parametrize("field", ["program_wqasm", "reference", "native_qasm"])
     @pytest.mark.parametrize("value", [7, ["x"]])
     def test_wrong_typed_program_text_is_miss_and_purged(
         self, tmp_path, tiny_formula, field, value

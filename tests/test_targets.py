@@ -41,7 +41,14 @@ class TestRegistry:
         with pytest.raises(repro.TargetError):
             register_target("fpqa", FPQATarget)
 
-    def test_custom_target_registration(self, tiny_formula):
+    def test_custom_target_registration(self, tiny_formula, monkeypatch):
+        # Register into copies of the registry tables, so the test-only
+        # target is gone again for every later test.
+        from repro.targets import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        monkeypatch.setattr(registry, "_ALIASES", dict(registry._ALIASES))
+
         class EchoTarget(Target):
             name = "echo-test"
             description = "test-only target"

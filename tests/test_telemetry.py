@@ -730,5 +730,5 @@ class TestDecodeSpans:
         assert back.to_dict()["program_wqasm"] == payload["program_wqasm"]
         (root,) = [s for s in spans if s["name"] == "targets.decode"]
         children = [s for s in spans if s["parent"] == root["span"]]
-        assert sorted(s["name"] for s in children) == ["qasm.decode", "wqasm.decode"]
+        assert sorted(s["name"] for s in children) == ["reference.decode", "wqasm.decode"]
         assert _covered_share(root, children) >= 0.95
