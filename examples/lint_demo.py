@@ -48,7 +48,10 @@ def main() -> None:
     print(f"  {format_report(bad, max_findings=3)}\n")
     assert not bad.ok and bad.errors
 
-    # Tier 2 — the dynamic wChecker agrees, at ~10x the cost.
+    # Tier 2 — the dynamic wChecker agrees.  It stops at the first
+    # fault, so on this mutant it takes about half the time it takes on
+    # the clean compile (~10 ms on uf20-01, about what wLint takes);
+    # both times are printed rather than a fixed ratio assumed.
     start = time.perf_counter()
     try:
         dynamic = repro.check_program(
@@ -62,8 +65,9 @@ def main() -> None:
     checker_ms = (time.perf_counter() - start) * 1e3
     print(f"wChecker on the same mutant ({checker_ms:.1f} ms): {verdict}")
     print(
-        f"\nSame verdict, {checker_ms / max(lint_ms, 1e-9):.0f}x the cost — "
-        "run the linter on everything, the checker on what matters."
+        f"\nSame verdict: wLint {lint_ms:.1f} ms on the clean compile, "
+        f"wChecker {checker_ms:.1f} ms on the mutant "
+        f"({checker_ms / max(lint_ms, 1e-9):.2f}x)."
     )
 
 

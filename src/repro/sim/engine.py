@@ -8,12 +8,16 @@ a :class:`Plan`, and :meth:`StatevectorEngine.replay` is the one
 gate-application loop.  A compiled FPQA replay is almost entirely
 ``u3`` + ``cz``/``ccz``, so a plan step is one of:
 
-* a fused single-qubit matrix: adjacent single-qubit gates on the same
+* a fused single-qubit block: adjacent single-qubit gates on the same
   qubit multiply into one 2x2 matrix (they commute past anything that
-  does not share their qubit).  For a qubit stride of 32 or more the
-  step is one batched matmul over the ``(..., 2, 2**q)`` axis reshape;
-  below that the matrix is stored already expanded over the stride
-  (``kron(m, I)``, at most 32x32) for one tall-skinny matmul;
+  does not share their qubit), and when one qubit's matrix must be
+  applied, every pending matrix in its block of neighbouring qubits
+  goes with it as one Kronecker product.  Qubits 0-4 (strides below
+  32) form one block, stored already expanded over the stride
+  (``kron(M, I)``, at most 32x32) for one tall-skinny matmul; higher
+  qubits form fixed blocks of four (5-8, 9-12, ...), each one batched
+  matmul of an at most 16x16 matrix over the ``(..., 2**k, 2**lo)``
+  axis reshape;
 * a precomputed basis-state slice for ``cz``/``ccz``/``mcz``, negated
   in place; other diagonal gates (``rzz``/``cp``) keep a slice per
   non-unit phase;
@@ -21,8 +25,9 @@ gate-application loop.  A compiled FPQA replay is almost entirely
 
 One plan serves many walks.  The executor builds it once per run with
 a fusion break at every ``(position, qubit)`` where an error trajectory
-inserts a Pauli, then replays it for the ideal state, the shared prefix
-and every branch.  :meth:`~StatevectorEngine.run` and
+inserts a Pauli, then replays it once for the ideal state, which is
+also the shared prefix, and once per branch from where it forks off.
+:meth:`~StatevectorEngine.run` and
 :meth:`~StatevectorEngine.apply_segment` build a plan per call.
 
 The dense ``expand_gate``-then-matmul engine this replaced lives on only
@@ -67,14 +72,19 @@ _PAULI_MATRICES = {
 }
 
 # Plan step opcodes: the first field of a ``(op, arg, matrix)`` step.
-_MATMUL = 0    # matrix @ state.reshape(arg); stride >= 32
-_EXPANDED = 1  # state.reshape(arg) @ matrix; matrix is kron(m, I).T
+_MATMUL = 0    # matrix @ state.reshape(arg); strides >= 32
+_EXPANDED = 1  # state.reshape(arg) @ matrix; matrix is kron(M, I).T
 _NEGATE = 2    # tensor[arg] *= -1, in place
 _PHASES = 3    # tensor[index] *= phase, in place, for (index, phase) in arg
 _DENSE = 4     # apply_gate_to_state(matrix, arg, ...)
 
+#: Qubits below this one have a stride under 32 and share one block;
+#: the qubits above it form blocks of :data:`_BLOCK_WIDTH`.
+_LOW_QUBITS = 5
+_BLOCK_WIDTH = 4
+
 #: Identity blocks for the single-qubit strides below 32.
-_EYES = {1 << q: np.eye(1 << q, dtype=complex) for q in range(5)}
+_EYES = {1 << q: np.eye(1 << q, dtype=complex) for q in range(_LOW_QUBITS)}
 
 #: The ``sim.gates.*`` counters, in plan tally column order.
 _GATE_COUNTERS = ("fused", "one_qubit", "diagonal", "dense")
@@ -83,6 +93,22 @@ _GATE_COUNTERS = ("fused", "one_qubit", "diagonal", "dense")
 def _scale(block: np.ndarray, factor) -> None:
     """Multiply a view of the state in place (see the replay loop)."""
     block *= factor
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` by one broadcast product, without kron's
+    generic shape handling (a plan builds hundreds)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
+def _block(q: int) -> range:
+    """The neighbouring qubits whose pending matrices apply with ``q``'s."""
+    if q < _LOW_QUBITS:
+        return range(_LOW_QUBITS)
+    lo = q - (q - _LOW_QUBITS) % _BLOCK_WIDTH
+    return range(lo, lo + _BLOCK_WIDTH)
 
 
 def _instruction_list(circuit) -> list[Instruction]:
@@ -206,14 +232,17 @@ class StatevectorEngine:
 
         ``inserts`` are the Pauli inserts any replay of the plan may
         apply: single-qubit fusion on ``qubit`` breaks before the
-        instruction at ``position``.
+        instruction at ``position``.  Flushing one qubit's pending
+        matrix flushes its whole block (:func:`_block`): a pending
+        matrix commutes with every instruction since its qubit was last
+        touched, so applying it early changes nothing.
         """
         declared = frozenset(inserts)
         flush_at: dict[int, list[int]] = {}
         for position, qubit in sorted({item[:2] for item in declared}):
             flush_at.setdefault(position, []).append(qubit)
         paulis = {
-            (qubit, pauli): self._one_qubit_step(_PAULI_MATRICES[pauli], qubit)
+            (qubit, pauli): self._block_step({qubit: _PAULI_MATRICES[pauli]})
             for _, qubit, pauli in declared
         }
         steps: list[tuple] = []
@@ -223,10 +252,11 @@ class StatevectorEngine:
 
         def flush(qubits: Iterable[int]) -> None:
             for q in qubits:
-                held = pending.pop(q, None)
-                if held is not None:
-                    steps.append(self._one_qubit_step(held[0], q))
-                    rows.append((held[1] - 1, 1, 0, 0))
+                if q not in pending:
+                    continue
+                held = {r: pending.pop(r) for r in _block(q) if r in pending}
+                steps.append(self._block_step({r: m for r, (m, _) in held.items()}))
+                rows.append((sum(n - 1 for _, n in held.values()), len(held), 0, 0))
 
         for index, inst in enumerate(instructions):
             if index in flush_at:
@@ -319,28 +349,27 @@ class StatevectorEngine:
                     self.profiler.add(f"sim.gates.{kind}", 0.0, count=count)
         return state
 
-    def _one_qubit_step(self, matrix: np.ndarray, q: int) -> tuple:
-        """A 2x2 matrix on qubit ``q`` as a plan step.
+    def _block_step(self, matrices: dict[int, np.ndarray]) -> tuple:
+        """2x2 matrices on qubits of one :func:`_block` as one plan step.
 
-        Little-endian layout: bit ``q`` of a basis index has stride
-        ``2**q``, so reshaping to ``(-1, 2, 2**q)`` isolates it on the
-        middle axis and the gate is one batched BLAS matmul over the
-        whole state — a single memory pass, no operator embedding.  For
-        small strides the batch shape degenerates (millions of tiny
-        matmuls), so the gate is instead expanded over the stride
-        (``kron(m, I)``, at most 32x32) and applied as one tall-skinny
-        matmul on contiguous chunks.
+        Little-endian layout: bits ``lo..hi`` of a basis index are the
+        middle axis of the ``(-1, 2**k, 2**lo)`` reshape (``k = hi - lo +
+        1``), where ``kron(m_hi, ..., m_lo)`` (identity on a qubit with
+        no matrix) is one batched BLAS matmul over the whole state — a
+        single memory pass, no operator embedding.  For strides below 32
+        the batch shape degenerates (millions of tiny matmuls), so the
+        block's matrix is instead expanded over the stride (``kron(M,
+        I)``, at most 32x32) and applied as one tall-skinny matmul on
+        contiguous chunks.
         """
-        length = 1 << q
-        if length >= 32:
-            return (_MATMUL, (-1, 2, length), matrix)
-        # np.kron(matrix, eye) by the same broadcast product, without
-        # kron's generic shape handling (a plan builds hundreds).
-        eye = _EYES[length]
-        expanded = (matrix[:, None, :, None] * eye[None, :, None, :]).reshape(
-            2 * length, 2 * length
-        )
-        return (_EXPANDED, (-1, 2 * length), expanded.T)
+        lo, hi = min(matrices), max(matrices)
+        block = matrices[hi]
+        for r in range(hi - 1, lo - 1, -1):
+            block = _kron(block, matrices.get(r, _EYES[2]))
+        if hi >= _LOW_QUBITS:
+            return (_MATMUL, (-1, block.shape[0], 1 << lo), block)
+        expanded = _kron(block, _EYES[1 << lo]) if lo else block
+        return (_EXPANDED, (-1, expanded.shape[0]), expanded.T)
 
     def _slice(self, qubits: Sequence[int], bits: Sequence[int]) -> tuple:
         """The tensor index fixing each of ``qubits`` to its ``bits``.
@@ -383,8 +412,19 @@ class StatevectorEngine:
             raise SimulationError("shots must be non-negative")
         if shots == 0:
             return np.empty(0, dtype=np.int64)
-        probs = self.probabilities(state)
-        return rng.choice(self.dim, size=shots, p=probs).astype(np.int64)
+        return self.draw(self.probabilities(state), rng.random(shots))
+
+    @staticmethod
+    def draw(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Basis indices for uniforms drawn in advance (inverse CDF).
+
+        This is exactly what ``Generator.choice(len(probs), k, p=probs)``
+        returns for the ``Generator.random(k)`` it consumes, so the
+        uniforms can be drawn before the distribution exists.
+        """
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        return cdf.searchsorted(uniforms, side="right").astype(np.int64, copy=False)
 
 
 def bitstring(basis: int, num_qubits: int) -> str:

@@ -16,10 +16,11 @@ anything below).  For *outcomes*:
   (one statevector walk for all of them);
 * the most frequent error signatures — up to ``max_trajectories`` of
   them — are replayed *exactly*, with the sampled Paulis inserted into
-  the gate stream.  They run in first-error order from one shared
-  prefix state: the prefix advances to a signature's first error, and
-  a copy of it runs the rest of the stream with that signature's
-  inserts.  At most three states are live: ideal, prefix and branch;
+  the gate stream.  The ideal walk advances once over the stream and is
+  their shared prefix: at each signature's first error, in first-error
+  order, a copy of the ideal state forks off and runs the rest of the
+  stream with that signature's inserts.  At most two states are live:
+  the ideal walk and one branch;
 * the long tail of rare multi-error signatures falls back to a
   measurement-frame depolarizing approximation: the shot samples an
   ideal outcome and the error-touched qubits' bits are replaced by fair
@@ -29,16 +30,22 @@ anything below).  For *outcomes*:
 The gate stream is compiled once per run into one
 :class:`~repro.sim.engine.Plan`, after the signatures are drawn, with a
 fusion break at every exact signature's ``(position, qubit)``.  The
-ideal walk, the prefix walk and every branch replay that same plan;
-none of them re-reads the instruction list.
+ideal walk and every branch replay that same plan; none of them
+re-reads the instruction list.
 
 Readout errors are classical bit flips applied to every shot exactly.
 All randomness flows from one ``numpy.random.Generator``, in a fixed
 draw order, so a given seed is bit-identical across runs and machines.
+The uniforms behind the clean-shot and branch samples are drawn up
+front, in that order, and :meth:`~repro.sim.engine.StatevectorEngine.draw`
+turns them into outcomes exactly as ``Generator.choice`` would: a
+branch is sampled as soon as it finishes, the clean shots once the
+ideal walk does.
 
 Under ``sim.run`` the phases are spans that tile it: ``sim.events``
-(event draws and signatures), ``sim.ideal`` (plan build, ideal walk
-and clean-shot draws), one ``sim.trajectory`` per exact branch, and
+(event draws, signatures and the up-front uniforms), ``sim.ideal``
+(the plan build and each stretch of the ideal walk; the last one also
+samples the clean shots), one ``sim.trajectory`` per exact branch, and
 ``sim.sample`` (tail, readout flips, aggregation and scoring).
 """
 
@@ -234,6 +241,7 @@ def _run_schedule(
         model = resolve_noise(noise, schedule.events)
         engine = StatevectorEngine(schedule.num_qubits, profiler)
         instructions = schedule.instructions
+        length = len(instructions)
         n = schedule.num_qubits
 
         # --- 1. sample error events per shot (exact Monte Carlo) ------
@@ -254,18 +262,25 @@ def _run_schedule(
         ]
         trajectories: dict[int, list] = {}
         if fired is not None and pauli_columns:
+            # One (qubits, paulis, position) per column.  A choice among
+            # one is not drawn: ``integers(1)`` consumes nothing.
+            choices = [
+                (
+                    tuple(map(int, events[j].qubits)),
+                    events[j].paulis,
+                    events[j].position,
+                )
+                for j in pauli_columns
+            ]
             # Row-major: fixed draw order.  The column subset is not kept,
             # so it is not alive while the states are.
-            for shot, column in np.argwhere(fired[:, pauli_columns]):
-                event = events[pauli_columns[column]]
-                qubit = int(event.qubits[int(rng.integers(len(event.qubits)))])
-                pauli = event.paulis[int(rng.integers(len(event.paulis)))]
-                position = (
-                    event.position
-                    if event.position is not None
-                    else int(rng.integers(len(instructions) + 1))
-                )
-                trajectories.setdefault(int(shot), []).append((position, qubit, pauli))
+            for shot, column in np.argwhere(fired[:, pauli_columns]).tolist():
+                qubits, paulis, position = choices[column]
+                qubit = qubits[rng.integers(len(qubits))] if len(qubits) > 1 else qubits[0]
+                pauli = paulis[rng.integers(len(paulis))] if len(paulis) > 1 else paulis[0]
+                if position is None:
+                    position = int(rng.integers(length + 1))
+                trajectories.setdefault(shot, []).append((position, qubit, pauli))
 
         buckets: dict[tuple, list[int]] = {}
         clean_shots: list[int] = []
@@ -276,64 +291,63 @@ def _run_schedule(
             else:
                 clean_shots.append(shot)
 
-        # The largest buckets run exactly, in first-error order so they
-        # share one prefix walk; the rest form the approximate tail.
+        # The largest buckets run exactly, in first-error order so each
+        # forks off the ideal walk; the rest form the approximate tail.
         ranked = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         exact = sorted(
             ranked[:max_trajectories], key=lambda kv: (kv[0][0][0], kv[0])
         )
         approximate = ranked[max_trajectories:]
 
-    # --- 3. one plan for every walk, then the ideal run ---------------
-    with _span("sim.ideal", instructions=len(instructions)):
+        # The uniforms behind the clean-shot and branch draws, in that
+        # order (see the module docstring).
+        clean_uniforms = rng.random(len(clean_shots))
+        branch_uniforms = [rng.random(len(bucket)) for _, bucket in exact]
+
+    # --- 3. one plan; the ideal walk is the shared prefix -------------
+    forks = [signature[0][0] for signature, _ in exact]
+    basis = np.empty(shots, dtype=np.int64)
+    with _span("sim.ideal", instructions=length):
         plan = engine.plan(
             instructions, [insert for signature, _ in exact for insert in signature]
         )
-        # Only the distribution outlives the walk: the ideal state is
-        # freed here, before the trajectories allocate theirs.
-        ideal_probs = engine.probabilities(
-            engine.replay(engine.initial_state(), plan, 0, len(instructions))
-        )
-        basis = np.empty(shots, dtype=np.int64)
-        if clean_shots:
-            basis[clean_shots] = rng.choice(
-                engine.dim, size=len(clean_shots), p=ideal_probs
-            )
+        at = forks[0] if forks else length
+        ideal = engine.replay(engine.initial_state(), plan, 0, at)
 
-    # --- 4. exact trajectories (shared prefix, one branch each) -------
-    t_exact = time.perf_counter()
-    prefix_state = engine.initial_state()
-    prefix_position = 0
-    for signature, bucket in exact:
-        first_position = signature[0][0]
+    # --- 4. exact trajectories, each a branch off the ideal walk ------
+    exact_seconds = 0.0
+    for (signature, bucket), uniforms, first in zip(exact, branch_uniforms, forks):
+        if first > at:
+            with _span("sim.ideal"):
+                ideal = engine.replay(ideal, plan, at, first)
+            at = first
+        started = time.perf_counter()
         with _span(
-            "sim.trajectory", position=first_position,
+            "sim.trajectory", position=first,
             errors=len(signature), shots=len(bucket),
         ):
-            if first_position > prefix_position:
-                prefix_state = engine.replay(
-                    prefix_state, plan, prefix_position, first_position
-                )
-                prefix_position = first_position
             branch = engine.replay(
-                prefix_state.copy(), plan, prefix_position, len(instructions),
-                inserts=signature,
+                ideal.copy(), plan, at, length, inserts=signature
             )
-            basis[bucket] = rng.choice(
-                engine.dim, size=len(bucket), p=engine.probabilities(branch)
-            )
+            basis[bucket] = engine.draw(engine.probabilities(branch), uniforms)
+            del branch
+        exact_seconds += time.perf_counter() - started
     if exact:
-        profiler.add(
-            "sim.trajectory", time.perf_counter() - t_exact, count=len(exact)
-        )
+        profiler.add("sim.trajectory", exact_seconds, count=len(exact))
+
+    with _span("sim.ideal"):
+        # Only the distribution outlives the walk.
+        ideal_probs = engine.probabilities(engine.replay(ideal, plan, at, length))
+        del ideal
+        basis[clean_shots] = engine.draw(ideal_probs, clean_uniforms)
 
     with _span("sim.sample", shots=shots):
         # --- 5. approximate tail: depolarize touched qubits ------------
         approx_shots = [shot for _, bucket in approximate for shot in bucket]
         if approx_shots:
             approx_shots.sort()
-            basis[approx_shots] = rng.choice(
-                engine.dim, size=len(approx_shots), p=ideal_probs
+            basis[approx_shots] = engine.draw(
+                ideal_probs, rng.random(len(approx_shots))
             )
             for shot in approx_shots:
                 value = int(basis[shot])
